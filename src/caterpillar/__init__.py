@@ -50,14 +50,11 @@ from .spc import (
     PADDING_MODES,
     Spc,
     SpcConfig,
-    pad2d,
-    pillars_concat,
     pillars_shift,
-    shift2d,
     spc_oracle,
     spc_param_count,
 )
-from .tensor import Rng, concat_channels, global_avg_pool, max_rel_error, project_channels
+from .tensor import Rng, concat_channels, max_rel_error
 from .train import AdamW, TrainConfig, adamw_step, ce_label_smoothing, cosine_lr, evaluate, train_loop
 
 __version__ = "0.1.0"

@@ -92,11 +92,8 @@ class MixerBlock(Module):
         self.ln = LayerNorm(c)
         self.ffn = FFN(c, cfg.ffn_ratio, rng=rng)
 
-    def _local_name(self) -> str:
-        return {"spc": "spc", "dwconv": "dwconv", "identity": "identity"}[self.cfg.local_mixer]
-
     def _children(self):
-        out = [("bn1", self.bn1), ("act1", self.act1), (self._local_name(), self.local)]
+        out = [("bn1", self.bn1), ("act1", self.act1), (self.cfg.local_mixer, self.local)]
         if self.bn2 is not None:
             out += [("bn2", self.bn2), ("act2", self.act2)]
         out.append(("smlp", self.smlp))

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import InsufficientBatchError, NumericError, ShapeError
-from .tensor import Rng, ensure_nhwc, max_rel_error, project_channels
+from .tensor import Rng, ensure_nhwc, max_rel_error
 
 
 class Parameter:

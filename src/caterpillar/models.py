@@ -535,7 +535,11 @@ class ResNetModel(Module):
         self.fc = Linear(prev, spec.num_classes, rng=rng)
 
     def _children(self):
-        out = [("stem_conv", self.stem_conv), ("stem_bn", self.stem_bn)]
+        out = [
+            ("stem_conv", self.stem_conv),
+            ("stem_bn", self.stem_bn),
+            ("stem_relu", self.stem_relu),
+        ]
         if self.stem_pool is not None:
             out.append(("stem_pool", self.stem_pool))
         for si, blocks in enumerate(self.stages, start=1):

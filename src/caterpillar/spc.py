@@ -1,11 +1,12 @@
 """Shifted-pillars-concatenation: the window-free local mixing operator.
 
-The operator has two halves.  The shift half turns the input map into one
-"neighboring map" per direction: map_d holds, at every position, the pillar
-that lies `steps` away in direction d, with the vacated border rows/columns
-refilled per the padding mode.  The concatenation half mixes the maps back
-into one tensor with per-direction channel reductions, concatenation and a
-final fusion projection (or the lighter variants of the mixing ablation).
+In the paper the operator has two halves.  The shift half turns the input
+map into one "neighboring map" per direction: map_d holds, at every
+position, the pillar that lies `steps` away in direction d, with the vacated
+border rows/columns refilled per the padding mode.  The concatenation half
+mixes the maps back into one tensor with per-direction channel reductions,
+concatenation and a final fusion projection (or the lighter variants of the
+mixing ablation).
 
 Direction semantics (steps = s, zero padding shown):
 
@@ -15,9 +16,26 @@ Direction semantics (steps = s, zero padding shown):
     right: out[i, j] = x[i, j - s]   left s cols refilled
 
 Diagonals compose one vertical and one horizontal move of s steps each;
-`center` returns the input unchanged.  Padding modes refill the vacated
-border from the shrunken map (zero, replicate, reflect) or wrap the original
-map so that shift-then-pad equals a cyclic roll (circular).
+`center` returns the input unchanged.  Refilled pillars are zero (zero), the
+nearest edge pillar (replicate), the pillar mirrored about the edge without
+repeating it (reflect), or the pillar wrapped from the opposite side, so the
+map is a cyclic roll (circular).
+
+All of this lives in one shift plan (`_shift_plan`): per direction, the
+(output, source) slice pairs that cover every output pillar exactly once,
+plus the zero-mode gaps that have no source.  `Spc` never builds the
+neighboring maps.  It reduces first and shifts second: each reduction runs
+once on the unshifted input and its output is written, shifted, into its
+channel slice of one buffer.  That is exact because a per-pillar linear map
+commutes with every shift and refill above (refilling only copies pillars),
+except that a zero-mode gap pillar reduces to the reduction's bias, so the
+gaps are filled with that bias.  The backward walks the same pairs in
+reverse, adding the gradient of each output slice into its source slice,
+and adds the gap gradients to the bias gradient.
+
+`pillars_shift` builds the neighboring maps from the same plan; it is the
+paper-level shift half.  `spc_oracle` is the independent reference that
+shares no code with either.
 """
 
 from __future__ import annotations
@@ -28,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigError, ReflectRangeError, ShapeError, ShiftRangeError
 from .layers import Linear, Module
-from .tensor import Rng, concat_channels, ensure_nhwc
+from .tensor import Rng, ensure_nhwc
 
 DIRECTIONS = (
     "up",
@@ -160,172 +178,80 @@ class SpcConfig:
         return cls(**kwargs)
 
 
-def shift2d(x: np.ndarray, direction: str, steps: int) -> np.ndarray:
-    """Drop the rows/columns vacated by moving `steps` in `direction`.
+def _shift_plan(direction: str, h: int, w: int, steps: int, padding: str):
+    """Slices that move an (n, h, w, c) map `steps` in `direction`.
 
-    The result is shrunken along each moved axis; position (i, j) of the
-    result holds the input pillar that is `steps` away in the direction.
+    Returns (pairs, gaps).  Each pair ((ro, co), (rs, cs)) says that output
+    pillars [:, ro, co] are the source pillars [:, rs, cs]; each gap (ro, co)
+    is a zero-mode region with no source.  Pairs and gaps together cover
+    every output pillar exactly once.
     """
-    x = ensure_nhwc(x, "shift2d input")
-    if direction not in _COMPONENTS:
-        raise ConfigError(f"shift2d: unknown direction {direction!r}")
-    vc, hc = _COMPONENTS[direction]
-    if direction == "center" or steps == 0:
-        return x
-    n, h, w, c = x.shape
-    if vc and steps >= h:
-        raise ShiftRangeError(f"shift2d: steps {steps} >= height {h}")
-    if hc and steps >= w:
-        raise ShiftRangeError(f"shift2d: steps {steps} >= width {w}")
-    if vc == 1:
-        x = x[:, steps:, :, :]
-    elif vc == -1:
-        x = x[:, : h - steps, :, :]
-    if hc == 1:
-        x = x[:, :, steps:, :]
-    elif hc == -1:
-        x = x[:, :, : w - steps, :]
-    return x
 
-
-def _pad_axis(x: np.ndarray, axis: int, comp: int, steps: int, mode: str) -> np.ndarray:
-    """Refill `steps` positions on the side vacated by a shift of component `comp`."""
-    length = x.shape[axis]
-    if mode == "reflect" and steps >= length:
-        raise ReflectRangeError(
-            f"pad2d: reflect needs steps {steps} < remaining extent {length}"
-        )
-    if mode == "zero":
-        shape = list(x.shape)
-        shape[axis] = steps
-        block = np.zeros(shape, dtype=x.dtype)
-    elif mode == "replicate":
-        edge = -1 if comp == 1 else 0
-        block = np.repeat(x.take([edge], axis=axis), steps, axis=axis)
-    elif mode == "reflect":
-        if comp == 1:
-            idx = np.arange(length - 2, length - 2 - steps, -1)
-        else:
-            idx = np.arange(steps, 0, -1)
-        block = x.take(idx, axis=axis)
-    else:
-        raise ConfigError(f"pad2d: unknown mode {mode!r}")
-    pair = (x, block) if comp == 1 else (block, x)
-    return np.concatenate(pair, axis=axis)
-
-
-def pad2d(
-    shrunk: np.ndarray,
-    direction: str,
-    steps: int,
-    mode: str,
-    original: np.ndarray | None = None,
-) -> np.ndarray:
-    """Restore the pre-shift spatial size by refilling the vacated side(s).
-
-    Zero fills zeros; replicate repeats the new edge of the shrunken map;
-    reflect mirrors the shrunken map without repeating its edge.  Circular
-    must reproduce a cyclic roll of the pre-shift tensor, whose wrapped
-    rows/columns are not present in the shrunken map, so it requires the
-    `original` tensor.
-    """
-    shrunk = ensure_nhwc(shrunk, "pad2d input")
-    if direction not in _COMPONENTS:
-        raise ConfigError(f"pad2d: unknown direction {direction!r}")
-    if mode not in PADDING_MODES:
-        raise ConfigError(f"pad2d: unknown mode {mode!r}")
-    vc, hc = _COMPONENTS[direction]
-    if direction == "center" or steps == 0:
-        return shrunk
-    if mode == "circular":
-        if original is None:
-            raise ConfigError("pad2d: circular mode needs the pre-shift tensor")
-        expect = (
-            original.shape[0],
-            original.shape[1] - (steps if vc else 0),
-            original.shape[2] - (steps if hc else 0),
-            original.shape[3],
-        )
-        if shrunk.shape != expect:
-            raise ShapeError(
-                f"pad2d: shrunken shape {shrunk.shape} inconsistent with original "
-                f"{original.shape} for {direction!r} steps {steps}"
+    def runs(length: int, comp: int) -> list[tuple[slice, slice | None]]:
+        # output index i reads source index i + comp * steps, resolved per mode
+        if comp == 0 or steps == 0:
+            return [(slice(0, length), slice(0, length))]
+        if steps >= length:
+            raise ShiftRangeError(
+                f"spc shift: {direction!r} steps {steps} >= extent {length}"
             )
-        return np.roll(original, shift=(-vc * steps, -hc * steps), axis=(1, 2))
-    out = shrunk
-    if vc:
-        out = _pad_axis(out, 1, vc, steps, mode)
-    if hc:
-        out = _pad_axis(out, 2, hc, steps, mode)
-    return out
+        if padding == "reflect" and 2 * steps >= length:
+            raise ReflectRangeError(
+                f"spc shift: reflect needs 2*steps < extent, got steps {steps}, "
+                f"extent {length}"
+            )
+        lo, hi = (0, length - steps) if comp > 0 else (steps, length)
+        out = [(slice(lo, hi), slice(lo + comp * steps, hi + comp * steps))]
+        for i in range(hi, length) if comp > 0 else range(lo):
+            m = i + comp * steps
+            if padding == "zero":
+                out.append((slice(i, i + 1), None))
+                continue
+            if padding == "replicate":
+                src = min(max(m, 0), length - 1)
+            elif padding == "circular":
+                src = m % length
+            else:
+                src = -m if m < 0 else 2 * (length - 1) - m
+            out.append((slice(i, i + 1), slice(src, src + 1)))
+        return out
+
+    vc, hc = _COMPONENTS[direction]
+    pairs, gaps = [], []
+    for ro, rs in runs(h, vc):
+        for co, cs in runs(w, hc):
+            if rs is None or cs is None:
+                gaps.append((ro, co))
+            else:
+                pairs.append(((ro, co), (rs, cs)))
+    return pairs, gaps
+
+
+def _write_shifted(dst: np.ndarray, src: np.ndarray, plan, fill) -> None:
+    """dst = src moved per `plan`, with zero-mode gaps set to `fill`."""
+    pairs, gaps = plan
+    for (ro, co), (rs, cs) in pairs:
+        dst[:, ro, co] = src[:, rs, cs]
+    for ro, co in gaps:
+        dst[:, ro, co] = fill
+
+
+def _add_unshifted(dsrc: np.ndarray, dout: np.ndarray, plan) -> None:
+    """Adjoint of the plan's pairs: dsrc[src] += dout[out]; gaps drop out."""
+    for (ro, co), (rs, cs) in plan[0]:
+        dsrc[:, rs, cs] += dout[:, ro, co]
 
 
 def pillars_shift(x: np.ndarray, cfg: SpcConfig) -> list[np.ndarray]:
     """One full-size neighboring map per configured direction, in order."""
     x = ensure_nhwc(x, "pillars_shift input")
-    return [
-        pad2d(shift2d(x, d, cfg.steps), d, cfg.steps, cfg.padding, original=x)
-        for d in cfg.directions
-    ]
-
-
-def _axis_source_index(length: int, comp: int, steps: int, mode: str) -> np.ndarray:
-    """Per output position, the source input index along one axis (-1 = zero fill)."""
-    if comp == 0 or steps == 0:
-        return np.arange(length)
-    if steps >= length:
-        raise ShiftRangeError(f"shift adjoint: steps {steps} >= extent {length}")
-    src = np.arange(length) + comp * steps
-    if mode == "zero":
-        out = np.where((src < 0) | (src > length - 1), -1, src)
-    elif mode == "replicate":
-        out = np.clip(src, 0, length - 1)
-    elif mode == "circular":
-        out = np.mod(src, length)
-    elif mode == "reflect":
-        if 2 * steps >= length:
-            raise ReflectRangeError(
-                f"shift adjoint: reflect needs 2*steps < extent, got steps {steps}, "
-                f"extent {length}"
-            )
-        out = src.copy()
-        out[src < 0] = -src[src < 0]
-        out[src > length - 1] = 2 * (length - 1) - src[src > length - 1]
-    else:
-        raise ConfigError(f"shift adjoint: unknown mode {mode!r}")
-    return out
-
-
-_SCATTER_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _scatter_matrix(length: int, comp: int, steps: int, mode: str, dtype) -> np.ndarray | None:
-    """(out_pos x src_pos) 0/1 matrix of the axis index map; None if identity."""
-    key = (length, comp, steps, mode, np.dtype(dtype).str)
-    if key not in _SCATTER_CACHE:
-        src = _axis_source_index(length, comp, steps, mode)
-        if np.array_equal(src, np.arange(length)):
-            _SCATTER_CACHE[key] = None
-        else:
-            mat = np.zeros((length, length), dtype=dtype)
-            keep = src >= 0
-            mat[np.arange(length)[keep], src[keep]] = 1.0
-            _SCATTER_CACHE[key] = mat
-    return _SCATTER_CACHE[key]
-
-
-def _shift_pad_adjoint(dmap: np.ndarray, direction: str, steps: int, mode: str) -> np.ndarray:
-    """Adjoint of pad2d(shift2d(x)) routing upstream gradient to source pillars."""
-    vc, hc = _COMPONENTS[direction]
-    n, h, w, c = dmap.shape
-    out = dmap
-    row_mat = _scatter_matrix(h, vc, steps, mode, dmap.dtype)
-    if row_mat is not None:
-        out = np.moveaxis(np.moveaxis(out, 1, -1) @ row_mat, -1, 1)
-    col_mat = _scatter_matrix(w, hc, steps, mode, dmap.dtype)
-    if col_mat is not None:
-        out = np.moveaxis(np.moveaxis(out, 2, -1) @ col_mat, -1, 2)
-    return out
+    _, h, w, _ = x.shape
+    maps = []
+    for d in cfg.directions:
+        m = np.empty_like(x)
+        _write_shifted(m, x, _shift_plan(d, h, w, cfg.steps, cfg.padding), 0.0)
+        maps.append(m)
+    return maps
 
 
 class Spc(Module):
@@ -384,41 +310,53 @@ class Spc(Module):
             out.append(("fuse", self.fuse))
         return out
 
+    def _plans(self, h: int, w: int) -> list:
+        cfg = self.cfg
+        return [_shift_plan(d, h, w, cfg.steps, cfg.padding) for d in cfg.directions]
+
     def forward(self, x, training=False):
         x = ensure_nhwc(x, "spc input")
         if x.shape[3] != self.cin:
             raise ShapeError(f"spc: input channels {x.shape[3]} != cin {self.cin}")
         self._in_shape = x.shape
-        return pillars_concat(pillars_shift(x, self.cfg), self, training)
+        n, h, w, c = x.shape
+        plans = self._plans(h, w)
+        if self.cfg.reduces_channels:
+            width = c // self.cfg.n_directions
+            z = np.empty_like(x, dtype=np.result_type(x, self._reduce[0].w.value))
+            for k, (lin, plan) in enumerate(zip(self._reduce, plans)):
+                fill = 0.0 if lin.b is None else lin.b.value
+                _write_shifted(z[..., k * width : (k + 1) * width], lin(x, training), plan, fill)
+        elif self.cfg.mixing == "concat_fuse":
+            z = np.empty((n, h, w, len(plans) * c), dtype=x.dtype)
+            for k, plan in enumerate(plans):
+                _write_shifted(z[..., k * c : (k + 1) * c], x, plan, 0.0)
+        else:
+            z = np.zeros_like(x)
+            for plan in plans:
+                for (ro, co), (rs, cs) in plan[0]:
+                    z[:, ro, co] += x[:, rs, cs]
+        return z if self.fuse is None else self.fuse(z, training)
 
     def backward(self, dy):
-        cfg = self.cfg
-        nd = cfg.n_directions
-        mixing = cfg.mixing
-        if mixing == "reduce_concat_fuse":
-            dz = self.fuse.backward(dy)
-            width = self.cin // nd
-            dmaps = [
-                lin.backward(dz[..., k * width : (k + 1) * width])
-                for k, lin in enumerate(self._reduce)
-            ]
-        elif mixing == "reduce_concat":
-            width = self.cin // nd
-            dmaps = [
-                lin.backward(dy[..., k * width : (k + 1) * width])
-                for k, lin in enumerate(self._reduce)
-            ]
-        elif mixing == "concat_fuse":
-            dz = self.fuse.backward(dy)
-            dmaps = [dz[..., k * self.cin : (k + 1) * self.cin] for k in range(nd)]
-        elif mixing == "sum_fuse":
-            ds = self.fuse.backward(dy)
-            dmaps = [ds] * nd
-        else:
-            dmaps = [dy] * nd
+        n, h, w, c = self._in_shape
+        plans = self._plans(h, w)
+        dz = dy if self.fuse is None else self.fuse.backward(dy)
         dx = np.zeros(self._in_shape, dtype=dy.dtype)
-        for d, dmap in zip(cfg.directions, dmaps):
-            dx += _shift_pad_adjoint(dmap, d, cfg.steps, cfg.padding)
+        if self.cfg.reduces_channels:
+            width = c // self.cfg.n_directions
+            for k, (lin, plan) in enumerate(zip(self._reduce, plans)):
+                dzk = dz[..., k * width : (k + 1) * width]
+                dyk = np.zeros((n, h, w, width), dtype=dz.dtype)
+                _add_unshifted(dyk, dzk, plan)
+                if lin.b is not None:
+                    for ro, co in plan[1]:
+                        lin.b.grad += dzk[:, ro, co].sum(axis=(0, 1, 2))
+                dx += lin.backward(dyk)
+            return dx
+        concat = self.cfg.mixing == "concat_fuse"
+        for k, plan in enumerate(plans):
+            _add_unshifted(dx, dz[..., k * c : (k + 1) * c] if concat else dz, plan)
         return dx
 
     def out_shape(self, in_shape):
@@ -436,34 +374,6 @@ class Spc(Module):
         if mixing == "sum_fuse":
             return p * self.cin * self.cout
         return 0
-
-
-def pillars_concat(maps: list[np.ndarray], params: Spc, training: bool = False) -> np.ndarray:
-    """Mix the neighboring maps back into one tensor per the mixing way.
-
-    `params` is the Spc layer holding the per-direction reductions and the
-    fusion projection; its config decides whether maps are reduced first,
-    concatenated raw, or summed.
-    """
-    cfg = params.cfg
-    if len(maps) != cfg.n_directions:
-        raise ShapeError(
-            f"pillars_concat: {len(maps)} maps for {cfg.n_directions} directions"
-        )
-    mixing = cfg.mixing
-    if mixing == "reduce_concat_fuse":
-        z = concat_channels([lin(m, training) for lin, m in zip(params._reduce, maps)])
-        return params.fuse(z, training)
-    if mixing == "reduce_concat":
-        return concat_channels([lin(m, training) for lin, m in zip(params._reduce, maps)])
-    if mixing == "concat_fuse":
-        return params.fuse(concat_channels(maps), training)
-    total = maps[0].copy()
-    for m in maps[1:]:
-        total += m
-    if mixing == "sum_fuse":
-        return params.fuse(total, training)
-    return total
 
 
 def spc_param_count(cin: int, cout: int, cfg: SpcConfig, bias: bool = True) -> int:

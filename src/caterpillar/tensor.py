@@ -3,9 +3,9 @@
 Every feature map in this package is a contiguous numpy array of shape
 (N, H, W, C) in row-major order, dtype float32 or float64.  A "pillar" is the
 C-vector at one spatial position.  The helpers here are the only primitives
-the rest of the package builds on: per-pillar channel projection, channel
-concatenation, spatial mean pooling, and a counter-based RNG whose stream is
-identical on every platform.
+the rest of the package builds on: input validation, channel concatenation,
+a relative-error metric, and a counter-based RNG whose stream is identical on
+every platform.
 """
 
 from __future__ import annotations
@@ -29,31 +29,6 @@ def ensure_nhwc(x: np.ndarray, name: str = "tensor") -> np.ndarray:
     return x
 
 
-def project_channels(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Per-pillar linear map: out[n,i,j,:] = x[n,i,j,:] @ w (+ b).
-
-    No cross-pillar mixing: each spatial position is projected independently
-    by the same Cin x Cout matrix.
-    """
-    x = ensure_nhwc(x, "project_channels input")
-    w = np.asarray(w)
-    if w.ndim != 2:
-        raise ShapeError(f"project_channels: weight must be 2-D, got {w.shape}")
-    if w.shape[0] != x.shape[3]:
-        raise ShapeError(
-            f"project_channels: weight rows {w.shape[0]} != input channels {x.shape[3]}"
-        )
-    out = x @ w
-    if b is not None:
-        b = np.asarray(b)
-        if b.shape != (w.shape[1],):
-            raise ShapeError(
-                f"project_channels: bias shape {b.shape} != (out channels,) = ({w.shape[1]},)"
-            )
-        out = out + b
-    return out
-
-
 def concat_channels(parts: list[np.ndarray]) -> np.ndarray:
     """Concatenate along the channel axis; part k keeps its position order."""
     if not parts:
@@ -70,12 +45,6 @@ def concat_channels(parts: list[np.ndarray]) -> np.ndarray:
     if len(parts) == 1:
         return parts[0]
     return np.concatenate(parts, axis=3)
-
-
-def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """Mean over (H, W), keeping singleton spatial dims: (N,H,W,C) -> (N,1,1,C)."""
-    x = ensure_nhwc(x, "global_avg_pool input")
-    return x.mean(axis=(1, 2), keepdims=True)
 
 
 def max_rel_error(a: np.ndarray, b: np.ndarray) -> float:

@@ -20,8 +20,8 @@ from caterpillar.layers import (
     ReLU,
     finite_diff_check,
 )
-from caterpillar.spc import pad2d, shift2d
-from caterpillar.tensor import Rng, max_rel_error, project_channels
+from caterpillar.spc import SpcConfig, pillars_shift
+from caterpillar.tensor import Rng, max_rel_error
 
 
 def rand(shape, seed=0):
@@ -144,9 +144,9 @@ class TestFFN:
 
         ffn = FFN(3, 2, rng=Rng(7))
         x = rand((1, 2, 2, 3), seed=8)
-        mid = project_channels(x, ffn.fc1.w.value, ffn.fc1.b.value)
+        mid = x @ ffn.fc1.w.value + ffn.fc1.b.value
         act = 0.5 * mid * (1.0 + erf(mid / math.sqrt(2.0)))
-        expected = project_channels(act, ffn.fc2.w.value, ffn.fc2.b.value)
+        expected = act @ ffn.fc2.w.value + ffn.fc2.b.value
         assert max_rel_error(ffn.forward(x), expected) < 1e-12
 
 
@@ -175,10 +175,10 @@ def conv_loop_oracle(x, kernel, bias, stride, pad):
 
 
 class TestConv2d:
-    def test_1x1_equals_project_channels(self):
+    def test_1x1_equals_per_pillar_projection(self):
         conv = Conv2d(1, 4, 6, rng=Rng(3))
         x = rand((2, 3, 3, 4), seed=9)
-        expected = project_channels(x, conv.w.value[0, 0], conv.b.value)
+        expected = x @ conv.w.value[0, 0] + conv.b.value
         npt.assert_array_equal(conv.forward(x), expected)
 
     def test_identity_kernel(self):
@@ -204,7 +204,7 @@ class TestConv2d:
         conv.w.value[:] = 0.0
         conv.w.value[2, 1] = np.eye(2)  # kernel offset (+1, 0) from center
         x = rand((1, 4, 4, 2), seed=12)
-        shifted = pad2d(shift2d(x, "up", 1), "up", 1, "zero")
+        shifted = pillars_shift(x, SpcConfig(directions=("up",), padding="zero"))[0]
         npt.assert_allclose(conv.forward(x), shifted, atol=1e-15)
 
     def test_kernel_larger_than_padded_input(self):

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from caterpillar.blocks import BlockConfig
+from caterpillar.blocks import COMBINE_STRATEGIES, LOCAL_MIXERS, BlockConfig
 from caterpillar.errors import BuildError, ConfigError, FormatError
 from caterpillar.models import (
     ModelSpec,
@@ -21,7 +21,7 @@ from caterpillar.models import (
     parse_model_spec,
     save_checkpoint,
 )
-from caterpillar.layers import Linear
+from caterpillar.layers import Linear, Module
 from caterpillar.spc import SpcConfig
 from caterpillar.tensor import Rng
 
@@ -149,6 +149,45 @@ class TestBuildAndForward:
         assert "stage1.block1.spc.fuse.w" in names
         assert "stage2.downsample.w" in names
         assert "head.fc.b" in names
+
+
+def _held_modules(module):
+    """Modules a module holds as attributes, also inside (nested) lists."""
+    stack = list(vars(module).values())
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, Module):
+            yield obj
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+
+
+def _all_model_variants():
+    for mixer in LOCAL_MIXERS:
+        for combine in COMBINE_STRATEGIES:
+            block = BlockConfig(ffn_ratio=2, local_mixer=mixer, combine=combine)
+            yield f"caterpillar-{mixer}-{combine}", build_caterpillar(
+                dataclasses.replace(MICRO, block=block)
+            )
+    for mixer in ("conv3x3", "spc"):
+        for small_stem in (True, False):
+            yield f"resnet18-{mixer}-small{small_stem}", build_resnet18(
+                8, mixer, 4, (32, 32, 3), small_stem=small_stem
+            )
+
+
+class TestChildren:
+    def test_every_held_module_is_a_listed_child(self):
+        # tracing, named_buffers and astype reach only what _children() lists
+        for label, model in _all_model_variants():
+            stack = [("", model)]
+            while stack:
+                path, module = stack.pop()
+                children = module._children()
+                listed = {id(child) for _, child in children}
+                for held in _held_modules(module):
+                    assert id(held) in listed, (label, path, type(held).__name__)
+                stack.extend((f"{path}.{name}", child) for name, child in children)
 
 
 class TestAccounting:

@@ -1,18 +1,18 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from caterpillar.errors import ConfigError, ReflectRangeError, ShiftRangeError
 from caterpillar.spc import (
     DIRECTION_PRESETS,
+    DIRECTIONS,
     MIXING_WAYS,
     PADDING_MODES,
     Spc,
     SpcConfig,
-    pad2d,
-    pillars_concat,
     pillars_shift,
-    shift2d,
     spc_oracle,
     spc_param_count,
 )
@@ -32,61 +32,69 @@ def grid_channels(cfg: SpcConfig, base: int = 8) -> int:
     return nd * ((base + nd - 1) // nd)
 
 
+def shift_one(x, direction, steps=1, padding="zero"):
+    """The neighboring map of a single direction."""
+    cfg = SpcConfig(directions=(direction,), steps=steps, padding=padding)
+    return pillars_shift(x, cfg)[0]
+
+
 X22 = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
 
 
 class TestShift2d:
+    """Where the moved pillars land (the source side of the shift)."""
+
     def test_up_drops_first_row(self):
-        out = shift2d(X22, "up", 1)
-        assert out.shape == (1, 1, 2, 1)
-        npt.assert_array_equal(out[0, :, :, 0], [[3.0, 4.0]])
+        out = shift_one(X22, "up")
+        assert out.shape == X22.shape
+        npt.assert_array_equal(out[0, :1, :, 0], [[3.0, 4.0]])
 
     def test_zero_steps_unchanged(self):
         x = rand((2, 3, 4, 5), 1)
-        npt.assert_array_equal(shift2d(x, "down", 0), x)
-        npt.assert_array_equal(shift2d(x, "center", 3), x)
+        npt.assert_array_equal(shift_one(x, "down", 0), x)
+        npt.assert_array_equal(shift_one(x, "center", 3), x)
 
     def test_down_right_composes(self):
         x = rand((1, 3, 3, 1), 2)
-        out = shift2d(x, "down-right", 1)
+        out = shift_one(x, "down-right")
         # index arithmetic: out[i, j] = x[i - 1, j - 1] on the kept region
-        npt.assert_array_equal(out, x[:, :2, :2, :])
+        npt.assert_array_equal(out[:, 1:, 1:, :], x[:, :2, :2, :])
+        npt.assert_array_equal(out[:, 0, :, :], 0.0)
+        npt.assert_array_equal(out[:, :, 0, :], 0.0)
 
     def test_out_of_range(self):
         with pytest.raises(ShiftRangeError):
-            shift2d(X22, "up", 2)
+            shift_one(X22, "up", 2)
         with pytest.raises(ShiftRangeError):
-            shift2d(X22, "left", 5)
+            shift_one(X22, "left", 5)
 
 
 class TestPad2d:
+    """How each padding mode refills the vacated border."""
+
     def test_zero_pads_vacated_bottom(self):
-        out = pad2d(shift2d(X22, "up", 1), "up", 1, "zero")
+        out = shift_one(X22, "up", padding="zero")
         npt.assert_array_equal(out[0, :, :, 0], [[3.0, 4.0], [0.0, 0.0]])
 
     def test_replicate_copies_new_edge(self):
-        out = pad2d(shift2d(X22, "up", 1), "up", 1, "replicate")
+        out = shift_one(X22, "up", padding="replicate")
         npt.assert_array_equal(out[0, :, :, 0], [[3.0, 4.0], [3.0, 4.0]])
 
     def test_circular_is_roll(self):
         x = np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1, 1)
-        out = pad2d(shift2d(x, "up", 1), "up", 1, "circular", original=x)
+        out = shift_one(x, "up", padding="circular")
         npt.assert_array_equal(out[0, :, 0, 0], [2.0, 3.0, 1.0])
-
-    def test_circular_requires_original(self):
-        with pytest.raises(ConfigError, match="circular"):
-            pad2d(shift2d(X22, "up", 1), "up", 1, "circular")
 
     def test_reflect_mirrors_without_edge(self):
         x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1, 1)
-        out = pad2d(shift2d(x, "up", 1), "up", 1, "reflect")
+        out = shift_one(x, "up", padding="reflect")
         npt.assert_array_equal(out[0, :, 0, 0], [2.0, 3.0, 4.0, 3.0])
-        out = pad2d(shift2d(x, "down", 1), "down", 1, "reflect")
+        out = shift_one(x, "down", padding="reflect")
         npt.assert_array_equal(out[0, :, 0, 0], [2.0, 1.0, 2.0, 3.0])
 
     def test_reflect_range_error(self):
         with pytest.raises(ReflectRangeError):
-            pad2d(shift2d(X22, "up", 1), "up", 1, "reflect")
+            shift_one(X22, "up", padding="reflect")
 
 
 class TestPillarsShift:
@@ -152,20 +160,6 @@ class TestMixing:
         layer = Spc(8, cfg=SpcConfig(), rng=Rng(2))
         x = rand((1, 4, 4, 8), 6)
         assert max_rel_error(layer.forward(x), spc_oracle(x, layer)) < 1e-12
-
-    def test_pillars_concat_is_the_mixing_half(self):
-        layer = Spc(8, cfg=SpcConfig(), rng=Rng(20))
-        x = rand((1, 4, 4, 8), 21)
-        maps = pillars_shift(x, layer.cfg)
-        npt.assert_array_equal(pillars_concat(maps, layer), layer.forward(x))
-
-    def test_pillars_concat_map_count_guard(self):
-        from caterpillar.errors import ShapeError
-
-        layer = Spc(8, cfg=SpcConfig(), rng=Rng(22))
-        x = rand((1, 4, 4, 8), 23)
-        with pytest.raises(ShapeError, match="maps"):
-            pillars_concat(pillars_shift(x, layer.cfg)[:3], layer)
 
     def test_sum_requires_matching_width(self):
         with pytest.raises(ConfigError):
@@ -248,7 +242,7 @@ class TestInvariants:
             ("up-left", (-2, -2)),
             ("down-right", (2, 2)),
         ]:
-            out = pad2d(shift2d(x, d, 2), d, 2, "circular", original=x)
+            out = shift_one(x, d, 2, "circular")
             npt.assert_array_equal(out, np.roll(x, axis_shift, axis=(1, 2)))
 
     def test_translation_equivariance_interior(self):
@@ -325,3 +319,67 @@ class TestConfig:
                 layer = Spc(4, cfg=cfg, rng=Rng(14))
                 err = finite_diff_check(layer, rand((1, 4, 4, 4), 15))
                 assert err < 1e-8, (padding, mixing, err)
+
+
+@st.composite
+def spc_cases(draw, mixing=st.sampled_from(MIXING_WAYS)):
+    dirs = draw(st.lists(st.sampled_from(DIRECTIONS), min_size=1, max_size=9, unique=True))
+    cfg = SpcConfig(
+        directions=tuple(dirs),
+        steps=draw(st.integers(0, 3)),
+        padding=draw(st.sampled_from(PADDING_MODES)),
+        mixing=draw(mixing),
+    )
+    if cfg.reduces_channels:
+        cin = cfg.n_directions * draw(st.integers(1, 2))
+    else:
+        cin = draw(st.integers(1, 4))
+    cout = cin if cfg.mixing in ("reduce_concat", "sum") else draw(st.integers(1, 4))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 7)), draw(st.integers(1, 7)), cin)
+    return cfg, cout, shape, draw(st.integers(0, 2**16))
+
+
+def _range_errors(cfg, h, w):
+    """(a moved axis has steps >= extent, reflect and a moved axis has 2*steps >= extent)."""
+    if cfg.steps == 0:
+        return False, False
+    extents = []
+    for d in cfg.directions:
+        if "up" in d or "down" in d:
+            extents.append(h)
+        if "left" in d or "right" in d:
+            extents.append(w)
+    shift = any(cfg.steps >= e for e in extents)
+    reflect = cfg.padding == "reflect" and any(2 * cfg.steps >= e for e in extents)
+    return shift, reflect
+
+
+class TestProperties:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(spc_cases())
+    def test_forward_matches_oracle_or_range_error(self, case):
+        cfg, cout, shape, seed = case
+        layer = Spc(shape[3], cout, cfg=cfg, rng=Rng(seed))
+        x = rand(shape, seed + 1)
+        shift_err, reflect_err = _range_errors(cfg, shape[1], shape[2])
+        if shift_err or reflect_err:
+            with pytest.raises((ShiftRangeError, ReflectRangeError)) as info:
+                layer.forward(x)
+            if not reflect_err:
+                assert info.type is ShiftRangeError
+            if not shift_err:
+                assert info.type is ReflectRangeError
+            return
+        assert max_rel_error(layer.forward(x), spc_oracle(x, layer)) < 1e-12
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(spc_cases(mixing=st.just("sum")))
+    def test_sum_backward_is_adjoint(self, case):
+        cfg, cout, shape, seed = case
+        assume(_range_errors(cfg, shape[1], shape[2]) == (False, False))
+        layer = Spc(shape[3], cout, cfg=cfg, rng=Rng(seed))
+        x = rand(shape, seed + 1)
+        g = rand(shape, seed + 2)
+        lhs = float(np.sum(layer.forward(x) * g))
+        rhs = float(np.sum(x * layer.backward(g)))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))

@@ -3,13 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from caterpillar.errors import ShapeError
-from caterpillar.tensor import (
-    Rng,
-    concat_channels,
-    global_avg_pool,
-    max_rel_error,
-    project_channels,
-)
+from caterpillar.layers import GlobalAvgPool, Linear
+from caterpillar.tensor import Rng, concat_channels, max_rel_error
 
 # Frozen reference stream: SplitMix64 outputs 1..10 for seed 42, checked
 # against an independent scalar implementation of the published algorithm.
@@ -27,15 +22,26 @@ SPLITMIX64_SEED42 = [
 ]
 
 
+def linear(w, b=None):
+    """A Linear layer holding the given weight (and bias)."""
+    lin = Linear(w.shape[0], w.shape[1], bias=b is not None)
+    lin.w.value = np.asarray(w, dtype=np.float64)
+    if b is not None:
+        lin.b.value = np.asarray(b, dtype=np.float64)
+    return lin
+
+
 class TestProjectChannels:
+    """Linear as the per-pillar channel projection."""
+
     def test_identity(self):
         x = np.ones((1, 1, 1, 2))
-        npt.assert_array_equal(project_channels(x, np.eye(2)), x)
+        npt.assert_array_equal(linear(np.eye(2)).forward(x), x)
 
     def test_scalar_linearity(self):
         x = np.zeros((1, 1, 1, 2))
         x[0, 0, 0] = (1.0, 2.0)
-        out = project_channels(x, 3.0 * np.eye(2))
+        out = linear(3.0 * np.eye(2)).forward(x)
         npt.assert_array_equal(out[0, 0, 0], (3.0, 6.0))
 
     def test_matches_per_pillar_loop(self):
@@ -47,16 +53,16 @@ class TestProjectChannels:
         for i in range(4):
             for j in range(4):
                 expected[0, i, j] = x[0, i, j] @ w + b
-        npt.assert_allclose(project_channels(x, w, b), expected, rtol=0, atol=1e-14)
+        npt.assert_allclose(linear(w, b).forward(x), expected, rtol=0, atol=1e-14)
 
     def test_no_cross_pillar_mixing(self):
         rng = Rng(3)
         x = rng.normal(2 * 3 * 3 * 4).reshape(2, 3, 3, 4)
         w = rng.normal(16).reshape(4, 4)
-        base = project_channels(x, w)
+        base = linear(w).forward(x)
         x2 = x.copy()
         x2[0, 1, 1] += 5.0
-        moved = project_channels(x2, w)
+        moved = linear(w).forward(x2)
         diff = np.abs(moved - base) > 0
         assert diff[0, 1, 1].any()
         diff[0, 1, 1] = False
@@ -69,20 +75,18 @@ class TestProjectChannels:
             y = rng.normal(1 * 2 * 3 * 5).reshape(1, 2, 3, 5)
             w = rng.normal(5 * 4).reshape(5, 4)
             a, b = rng.normal(2)
-            lhs = project_channels(a * x + b * y, w)
-            rhs = a * project_channels(x, w) + b * project_channels(y, w)
+            lhs = linear(w).forward(a * x + b * y)
+            rhs = a * linear(w).forward(x) + b * linear(w).forward(y)
             assert max_rel_error(lhs, rhs) < 1e-12
 
     def test_shape_errors_name_axes(self):
-        with pytest.raises(ShapeError, match="weight rows"):
-            project_channels(np.ones((1, 1, 1, 3)), np.eye(2))
-        with pytest.raises(ShapeError, match="bias"):
-            project_channels(np.ones((1, 1, 1, 2)), np.eye(2), np.zeros(3))
+        with pytest.raises(ShapeError, match="input channels 3 != cin 2"):
+            linear(np.eye(2)).forward(np.ones((1, 1, 1, 3)))
 
     def test_input_not_mutated(self):
         x = np.ones((1, 2, 2, 2))
         snap = x.copy()
-        project_channels(x, np.eye(2), np.ones(2))
+        linear(np.eye(2), np.ones(2)).forward(x)
         npt.assert_array_equal(x, snap)
 
 
@@ -111,15 +115,17 @@ class TestConcatChannels:
 
 
 class TestGlobalAvgPool:
+    """GlobalAvgPool as the spatial mean over (H, W)."""
+
     def test_constant(self):
         x = np.full((2, 3, 4, 5), 2.5)
-        out = global_avg_pool(x)
+        out = GlobalAvgPool().forward(x)
         assert out.shape == (2, 1, 1, 5)
         npt.assert_array_equal(out, np.full((2, 1, 1, 5), 2.5))
 
     def test_two_rows(self):
         x = np.array([1.0, 3.0]).reshape(1, 2, 1, 1)
-        assert global_avg_pool(x)[0, 0, 0, 0] == 2.0
+        assert GlobalAvgPool().forward(x)[0, 0, 0, 0] == 2.0
 
     def test_matches_double_loop(self):
         x = Rng(2).normal(2 * 7 * 7 * 16).reshape(2, 7, 7, 16)
@@ -131,7 +137,7 @@ class TestGlobalAvgPool:
                     for j in range(7):
                         acc += x[n, i, j, c]
                 expected[n, 0, 0, c] = acc / 49.0
-        assert max_rel_error(global_avg_pool(x), expected) < 1e-12
+        assert max_rel_error(GlobalAvgPool().forward(x), expected) < 1e-12
 
 
 class TestRng:
