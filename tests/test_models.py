@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import numpy.testing as npt
@@ -337,3 +338,52 @@ class TestSerialization:
         loaded = load_checkpoint(str(path))
         x = rand((1, 16, 16, 3), 8).astype(np.float32)
         npt.assert_array_equal(model.forward(x), loaded.forward(x))
+
+
+def _header_sha256(path) -> str:
+    """sha256 of a checkpoint's text header: spec, tensor manifest, DATA line."""
+    raw = path.read_bytes()
+    end = raw.index(b"\n", raw.index(b"\nDATA ") + 1) + 1
+    return hashlib.sha256(raw[:end]).hexdigest()
+
+
+class TestLayoutPin:
+    # Literals recorded from the builders: a refactor that renames, reorders
+    # or reshapes a tensor, or moves a MAC row, changes one of them.
+    def test_micro_layout(self, tmp_path):
+        model = build_caterpillar(MICRO)
+        save_checkpoint(str(tmp_path / "m.ckpt"), model)
+        assert _header_sha256(tmp_path / "m.ckpt") == (
+            "cbfbbef51f6f4d181b7259ad34a8930aeef27f3f7716f44f677dd1bab6d7cb87"
+        )
+        assert estimate_flops(model, (1, 16, 16, 3))[1] == [
+            ("embed", 6144),
+            ("stage1.block1", 219136),
+            ("stage2.downsample", 32768),
+            ("stage2.block1", 166912),
+            ("stage3.downsample", 32768),
+            ("stage3.block1", 153088),
+            ("stage4.downsample", 32768),
+            ("stage4.block1", 149248),
+            ("head", 384),
+        ]
+
+    def test_resnet18_spc_layout(self, tmp_path):
+        model = build_resnet18(8, "spc", 4, (32, 32, 3))
+        save_checkpoint(str(tmp_path / "r.ckpt"), model)
+        assert _header_sha256(tmp_path / "r.ckpt") == (
+            "3cbe3141d603db379751f367fb5547561c77cd66e0e7cd11ee48f3c9bc849bf8"
+        )
+        assert estimate_flops(model, (1, 32, 32, 3))[1] == [
+            ("stem_conv", 221184),
+            ("stem_bn", 8192),
+            ("stage1.block1", 278528),
+            ("stage1.block2", 278528),
+            ("stage2.block1", 372736),
+            ("stage2.block2", 270336),
+            ("stage3.block1", 366592),
+            ("stage3.block2", 266240),
+            ("stage4.block1", 363520),
+            ("stage4.block2", 264192),
+            ("fc", 256),
+        ]
