@@ -24,6 +24,7 @@ from .layers import (
     Module,
     Parameter,
     ReLU,
+    Sequential,
     finite_diff_check,
 )
 from .models import (

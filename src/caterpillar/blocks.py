@@ -102,11 +102,6 @@ class MixerBlock(Module):
         out += [("ln", self.ln), ("ffn", self.ffn)]
         return out
 
-    def _local_params(self):
-        if self.cfg.combine == "weighted_sum":
-            return [("local_scale", self.local_scale), ("global_scale", self.global_scale)]
-        return []
-
     def _token_mix_forward(self, x, training):
         combine = self.cfg.combine
         if combine in ("LG", "GL"):
@@ -166,7 +161,7 @@ class MixerBlock(Module):
         if self.cfg.combine == "weighted_sum":
             total += 2 * p * self.c
         if self.cfg.combine == "concat_reduce":
-            total += p * 2 * self.c * self.c
+            total += self.merge.macs(tuple(in_shape[:3]) + (2 * self.c,))
         total += self.ln.macs(in_shape) + self.ffn.macs(in_shape)
         return total
 

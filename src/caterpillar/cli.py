@@ -16,9 +16,9 @@ import time
 
 import numpy as np
 
-from .blocks import COMBINE_STRATEGIES, LOCAL_MIXERS, BlockConfig, MixerBlock
+from .blocks import COMBINE_STRATEGIES, BlockConfig, MixerBlock
 from .data import LabeledImages, load_cifar10_binary, load_idx, load_raw_blob, synth_blobs
-from .errors import CaterpillarError
+from .errors import CaterpillarError, parse_int
 from .layers import (
     FFN,
     GELU,
@@ -76,6 +76,10 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spc-config", help="e.g. 'directions=4;steps=1;padding=zero;mixing=...'")
 
 
+def _int_list(text: str, flag: str) -> tuple[int, ...]:
+    return tuple(parse_int(v, flag) for v in text.split(","))
+
+
 def _spec_from_args(args) -> "ModelSpec | ResnetSpec":
     if args.spec_file:
         with open(args.spec_file, "r", encoding="utf-8") as f:
@@ -88,7 +92,7 @@ def _spec_from_args(args) -> "ModelSpec | ResnetSpec":
         spec = ModelSpec(
             variant="custom",
             base_width=args.base_width,
-            depths=tuple(int(d) for d in args.depths.split(",")),
+            depths=_int_list(args.depths, "--depths"),
         )
     else:
         raise CaterpillarError("no model given: use --spec-file, --preset, or --base-width/--depths")
@@ -97,7 +101,7 @@ def _spec_from_args(args) -> "ModelSpec | ResnetSpec":
     if args.resolution:
         over["input"] = (args.resolution, args.resolution, spec.input[2])
     if args.input:
-        over["input"] = tuple(int(v) for v in args.input.split(","))
+        over["input"] = _int_list(args.input, "--input")
     if args.classes:
         over["num_classes"] = args.classes
     if isinstance(spec, ResnetSpec):
@@ -109,7 +113,7 @@ def _spec_from_args(args) -> "ModelSpec | ResnetSpec":
     if args.patch_size:
         over["patch_size"] = args.patch_size
     if args.channel_schedule:
-        over["channel_schedule"] = tuple(int(v) for v in args.channel_schedule.split(","))
+        over["channel_schedule"] = _int_list(args.channel_schedule, "--channel-schedule")
     blk = {}
     if args.ffn_ratio:
         blk["ffn_ratio"] = args.ffn_ratio
@@ -133,8 +137,12 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
 
 def _data_from_args(args) -> LabeledImages:
     if args.data_synth:
-        seed, n, h, w, c, k = (int(v) for v in args.data_synth.split(","))
-        return synth_blobs(seed, n, h, w, c, k)
+        fields = _int_list(args.data_synth, "--data-synth")
+        if len(fields) != 6:
+            raise CaterpillarError(
+                f"--data-synth: expected seed,N,H,W,C,K, got {args.data_synth!r}"
+            )
+        return synth_blobs(*fields)
     if args.data_cifar:
         return load_cifar10_binary(args.data_cifar.split(","))
     if args.data_idx:
@@ -150,6 +158,11 @@ def _check_compat(model, data: LabeledImages) -> None:
     if data.images.shape[1:] != (h, w, c):
         raise CaterpillarError(
             f"dataset {data.images.shape[1:]} incompatible with model input {(h, w, c)}"
+        )
+    k = model.spec.num_classes
+    if data.labels.size and data.labels.max() >= k:
+        raise CaterpillarError(
+            f"dataset label {data.labels.max()} incompatible with the model's {k} classes"
         )
 
 
@@ -418,10 +431,14 @@ def cmd_dump_features(args) -> int:
     model = load_checkpoint(args.checkpoint)
     data = _data_from_args(args)
     _check_compat(model, data)
+    if not 0 <= args.image_index < len(data.images):
+        raise CaterpillarError(
+            f"image index {args.image_index} out of range [0, {len(data.images)})"
+        )
     x = data.images[args.image_index : args.image_index + 1].astype(np.float32)
     feats = model.stage_features(x)
     if args.stage != "all":
-        k = int(args.stage)
+        k = parse_int(args.stage, "--stage")
         if not 1 <= k <= len(feats):
             raise CaterpillarError(f"stage {k} out of range 1..{len(feats)}")
         feats = {k: feats[k - 1]}
@@ -433,7 +450,7 @@ def cmd_dump_features(args) -> int:
             image = fmap[0].mean(axis=2)
             tag = "mean"
         elif args.reduce.startswith("channel:"):
-            ch = int(args.reduce.split(":", 1)[1])
+            ch = parse_int(args.reduce.split(":", 1)[1], "--reduce")
             if not 0 <= ch < fmap.shape[3]:
                 raise CaterpillarError(f"channel {ch} out of range for stage {k}")
             image = fmap[0, :, :, ch]

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-field parser."""
 
 
 class CaterpillarError(Exception):
@@ -35,3 +35,11 @@ class NumericError(CaterpillarError, ArithmeticError):
 
 class InsufficientBatchError(CaterpillarError, ValueError):
     """Batch statistics requested over fewer than two elements."""
+
+
+def parse_int(text, what: str) -> int:
+    """int(text); a non-integer raises ConfigError naming the field `what`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{what}: expected an integer, got {text!r}") from None

@@ -1,8 +1,10 @@
 """Differentiable primitive layers with explicit forward/backward.
 
-There is no tape: every layer caches what its own backward needs, and
-composite modules chain child backwards in reverse order.  All layers are
-built in float64 and can be cast with Module.astype for float32 training.
+There is no tape: every layer caches what its own backward needs.  A chain
+is a Sequential: one ordered list of named layers that forward runs left to
+right, backward right to left, and that also fixes the child names and
+order.  All layers are built in float64 and can be cast with Module.astype
+for float32 training.
 
 Gradient convention: backward(dy) accumulates into each Parameter.grad and
 returns the gradient with respect to the layer input.
@@ -32,7 +34,8 @@ class Module:
     """Base class: parameter/buffer discovery, dtype casting, MAC accounting.
 
     Subclasses implement forward(x, training) and backward(dy); composites
-    override _children() to fix child names and order.
+    override _children() to fix child names and order.  Parameters are the
+    Parameter attributes in assignment order.
     """
 
     buffer_names: tuple[str, ...] = ()
@@ -97,6 +100,45 @@ def trunc_normal_init(rng: Rng, shape: tuple, std: float = 0.02) -> np.ndarray:
     return rng.truncated_normal(int(np.prod(shape)), std=std, clip=2.0).reshape(shape)
 
 
+class Sequential(Module):
+    """A chain of named layers; the list is also the child names and order.
+
+    forward folds the list left to right, backward right to left, and
+    out_shape/macs carry the shape along it.
+    """
+
+    def __init__(self, layers: list[tuple[str, Module]]):
+        self.layers = layers
+
+    def _children(self):
+        return self.layers
+
+    def forward(self, x, training=False):
+        for _, layer in self.layers:
+            x = layer(x, training)
+        return x
+
+    def backward(self, dy):
+        for _, layer in reversed(self.layers):
+            dy = layer.backward(dy)
+        return dy
+
+    def _layer_macs(self, in_shape):
+        """(name, MACs) per layer, each on the shape its predecessor emits."""
+        shape = tuple(in_shape)
+        for name, layer in self.layers:
+            yield name, layer.macs(shape)
+            shape = layer.out_shape(shape)
+
+    def out_shape(self, in_shape):
+        for _, layer in self.layers:
+            in_shape = layer.out_shape(in_shape)
+        return tuple(in_shape)
+
+    def macs(self, in_shape):
+        return sum(m for _, m in self._layer_macs(in_shape))
+
+
 class Identity(Module):
     def forward(self, x, training=False):
         return x
@@ -114,12 +156,6 @@ class Linear(Module):
         self.cout = cout
         self.w = Parameter(trunc_normal_init(rng, (cin, cout)))
         self.b = Parameter(np.zeros(cout), weight_decay=False) if bias else None
-
-    def _local_params(self):
-        out = [("w", self.w)]
-        if self.b is not None:
-            out.append(("b", self.b))
-        return out
 
     def forward(self, x, training=False):
         x = np.asarray(x)
@@ -267,7 +303,7 @@ class ReLU(Module):
         return np.where(self._mask, dy, 0.0).astype(dy.dtype)
 
 
-class FFN(Module):
+class FFN(Sequential):
     """Channel-mixing block: per-pillar Linear -> GELU -> Linear."""
 
     def __init__(self, c: int, ratio: int = 3, bias: bool = True, rng: Rng | None = None):
@@ -275,20 +311,8 @@ class FFN(Module):
             raise ShapeError(f"ffn: expansion ratio must be >= 1, got {ratio}")
         rng = rng or Rng(0)
         self.fc1 = Linear(c, ratio * c, bias=bias, rng=rng)
-        self.act = GELU()
         self.fc2 = Linear(ratio * c, c, bias=bias, rng=rng)
-
-    def _children(self):
-        return [("fc1", self.fc1), ("act", self.act), ("fc2", self.fc2)]
-
-    def forward(self, x, training=False):
-        return self.fc2(self.act(self.fc1(x, training), training), training)
-
-    def backward(self, dy):
-        return self.fc1.backward(self.act.backward(self.fc2.backward(dy)))
-
-    def macs(self, in_shape):
-        return self.fc1.macs(in_shape) + self.fc2.macs(self.fc1.out_shape(in_shape))
+        super().__init__([("fc1", self.fc1), ("act", GELU()), ("fc2", self.fc2)])
 
 
 def _conv_geometry(h, w, k, stride, padding):
@@ -327,12 +351,6 @@ class Conv2d(Module):
         self.stride, self.padding = stride, padding
         self.w = Parameter(trunc_normal_init(rng, (k, k, cin, cout)))
         self.b = Parameter(np.zeros(cout), weight_decay=False) if bias else None
-
-    def _local_params(self):
-        out = [("w", self.w)]
-        if self.b is not None:
-            out.append(("b", self.b))
-        return out
 
     def forward(self, x, training=False):
         x = ensure_nhwc(x, "conv input")
@@ -389,12 +407,6 @@ class DWConv2d(Module):
         self.k, self.c = k, c
         self.w = Parameter(trunc_normal_init(rng, (k, k, c)))
         self.b = Parameter(np.zeros(c), weight_decay=False) if bias else None
-
-    def _local_params(self):
-        out = [("w", self.w)]
-        if self.b is not None:
-            out.append(("b", self.b))
-        return out
 
     def forward(self, x, training=False):
         x = ensure_nhwc(x, "dwconv input")

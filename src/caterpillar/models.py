@@ -6,6 +6,8 @@ pool/norm/linear head; the named presets Mi/Tx/T/S/B fix width and depth.
 The resnet18 family is the standard 4-stage basic-block topology, optionally
 with every 3x3 convolution inside the basic blocks replaced by the shift
 concatenation mixer (stride-2 positions become mixer + 2x2 average pool).
+Each model is one flat chain of named layers (a layers.Sequential), and
+that list fixes the parameter names, checkpoint layout and MAC rows.
 
 Accounting: count_params enumerates parameter arrays; estimate_flops counts
 multiply-accumulates (1 MAC per learnable-weight application) layer by
@@ -25,18 +27,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import BlockConfig, MixerBlock, block_param_count
-from .errors import BuildError, ConfigError, FormatError, ShapeError
+from .errors import BuildError, ConfigError, FormatError, ShapeError, parse_int
 from .layers import (
     AvgPool2d,
     BatchNorm2d,
     Conv2d,
     GlobalAvgPool,
-    Identity,
     LayerNorm,
     Linear,
     MaxPool2d,
     Module,
     ReLU,
+    Sequential,
 )
 from .spc import Spc, SpcConfig
 from .tensor import Rng
@@ -216,8 +218,12 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _ints(value: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in value.split(","))
+def _int(section: dict, key: str, default: int) -> int:
+    return parse_int(section.get(key, default), f"model spec: {key}")
+
+
+def _ints(value: str, key: str) -> tuple[int, ...]:
+    return tuple(parse_int(v, f"model spec: {key}") for v in value.split(","))
 
 
 def parse_model_spec(text: str) -> "ModelSpec | ResnetSpec":
@@ -231,10 +237,10 @@ def parse_model_spec(text: str) -> "ModelSpec | ResnetSpec":
         spc_cfg = SpcConfig.parse(flat)
     if family == "resnet18":
         return ResnetSpec(
-            n_c=int(model.get("n_c", 64)),
+            n_c=_int(model, "n_c", 64),
             local_mixer=model.get("local_mixer", "conv3x3"),
-            num_classes=int(model.get("num_classes", 1000)),
-            input=_ints(model.get("input", "224,224,3")),
+            num_classes=_int(model, "num_classes", 1000),
+            input=_ints(model.get("input", "224,224,3"), "input"),
             small_stem={"yes": True, "no": False}.get(model.get("small_stem", ""), None),
             spc=spc_cfg,
         )
@@ -244,26 +250,29 @@ def parse_model_spec(text: str) -> "ModelSpec | ResnetSpec":
     block = BlockConfig(
         local_mixer=blk.get("local_mixer", "spc"),
         spc=spc_cfg,
-        dw_kernel=int(blk.get("dw_kernel", 3)),
+        dw_kernel=_int(blk, "dw_kernel", 3),
         combine=blk.get("combine", "LG"),
-        ffn_ratio=int(blk.get("ffn_ratio", 3)),
+        ffn_ratio=_int(blk, "ffn_ratio", 3),
     )
     kwargs = dict(
         variant=model.get("variant", "custom"),
-        patch_size=int(model.get("patch_size", 4)),
-        input=_ints(model.get("input", "224,224,3")),
-        num_classes=int(model.get("num_classes", 1000)),
+        patch_size=_int(model, "patch_size", 4),
+        input=_ints(model.get("input", "224,224,3"), "input"),
+        num_classes=_int(model, "num_classes", 1000),
         block=block,
     )
     if kwargs["variant"] in VARIANT_PRESETS:
         width, depths = VARIANT_PRESETS[kwargs["variant"]]
-        kwargs["base_width"] = int(model.get("base_width", width))
-        kwargs["depths"] = _ints(model.get("depths", ",".join(map(str, depths))))
+        kwargs["base_width"] = _int(model, "base_width", width)
+        kwargs["depths"] = _ints(model.get("depths", ",".join(map(str, depths))), "depths")
     else:
-        kwargs["base_width"] = int(model["base_width"])
-        kwargs["depths"] = _ints(model["depths"])
+        missing = [k for k in ("base_width", "depths") if k not in model]
+        if missing:
+            raise ConfigError(f"model spec: custom variant needs {' and '.join(missing)}")
+        kwargs["base_width"] = _int(model, "base_width", None)
+        kwargs["depths"] = _ints(model["depths"], "depths")
     if "channel_schedule" in model:
-        kwargs["channel_schedule"] = _ints(model["channel_schedule"])
+        kwargs["channel_schedule"] = _ints(model["channel_schedule"], "channel_schedule")
     return ModelSpec(**kwargs)
 
 
@@ -287,147 +296,69 @@ def adapt_small_images(spec: ModelSpec, profile: str, num_classes: int | None = 
     )
 
 
-class _Stage(Module):
-    def __init__(self, blocks: list[MixerBlock], downsample: Module | None):
-        self.downsample = downsample
-        self.blocks = blocks
+class _Chain(Sequential):
+    """A model as one flat chain of named layers ending in (N, 1, 1, K) logits.
 
-    def _children(self):
-        out = []
-        if self.downsample is not None:
-            out.append(("downsample", self.downsample))
-        out += [(f"block{i + 1}", b) for i, b in enumerate(self.blocks)]
-        return out
+    Owns the (N, 1, 1, K) <-> (N, K) logits reshape, the stage feature maps
+    (the outputs of the layers at stage_ends) and the MAC rows (one per
+    layer with non-zero MACs).
+    """
 
-    def forward(self, x, training=False):
-        if self.downsample is not None:
-            x = self.downsample(x, training)
-        for b in self.blocks:
-            x = b(x, training)
-        return x
-
-    def backward(self, dy):
-        for b in reversed(self.blocks):
-            dy = b.backward(dy)
-        if self.downsample is not None:
-            dy = self.downsample.backward(dy)
-        return dy
-
-
-class _Head(Module):
-    """Classifier head: global average pool, layernorm, linear."""
-
-    def __init__(self, c: int, num_classes: int, rng: Rng):
-        self.pool = GlobalAvgPool()
-        self.norm = LayerNorm(c)
-        self.fc = Linear(c, num_classes, rng=rng)
-        self.num_classes = num_classes
-
-    def _children(self):
-        return [("pool", self.pool), ("norm", self.norm), ("fc", self.fc)]
-
-    def forward(self, x, training=False):
-        out = self.fc(self.norm(self.pool(x, training), training), training)
-        return out.reshape(out.shape[0], self.num_classes)
-
-    def backward(self, dy):
-        dy = dy.reshape(dy.shape[0], 1, 1, self.num_classes)
-        return self.pool.backward(self.norm.backward(self.fc.backward(dy)))
-
-    def macs(self, in_shape):
-        pooled = self.pool.out_shape(in_shape)
-        return self.norm.macs(pooled) + self.fc.macs(pooled)
-
-
-class CaterpillarModel(Module):
-    """Four-stage pyramid of mixer blocks with patch embedding and pooled head."""
-
-    def __init__(self, spec: ModelSpec, seed: int = 0):
+    def __init__(self, spec, layers: list[tuple[str, Module]], stage_ends: list[int]):
+        super().__init__(layers)
         self.spec = spec
-        plan = spec.stage_plan()
-        self.plan = plan
-        rng = Rng(seed)
-        h_img, w_img, cin = spec.input
-        self.embed = Conv2d(
-            spec.patch_size, cin, plan[0]["c"], stride=spec.patch_size, padding="valid", rng=rng
-        )
-        self.stages = []
-        prev_c = plan[0]["c"]
-        for st in plan:
-            down = None
-            if st["down"]:
-                k = st["down"]
-                down = Conv2d(k, prev_c, st["c"], stride=k, padding="valid", rng=rng)
-            blocks = [
-                MixerBlock(st["h"], st["w"], st["c"], spec.block, rng=rng)
-                for _ in range(st["depth"])
-            ]
-            self.stages.append(_Stage(blocks, down))
-            prev_c = st["c"]
-        self.head = _Head(plan[-1]["c"], spec.num_classes, rng)
-
-    def _children(self):
-        out = [("embed", self.embed)]
-        out += [(f"stage{i + 1}", s) for i, s in enumerate(self.stages)]
-        out.append(("head", self.head))
-        return out
+        self.stage_ends = stage_ends
 
     def forward(self, x, training=False):
-        x = self.embed(x, training)
-        for stage in self.stages:
-            x = stage(x, training)
-        return self.head(x, training)
+        out = super().forward(x, training)
+        return out.reshape(out.shape[0], self.spec.num_classes)
 
     def backward(self, dlogits):
-        dy = self.head.backward(dlogits)
-        for stage in reversed(self.stages):
-            dy = stage.backward(dy)
-        return self.embed.backward(dy)
+        return super().backward(dlogits.reshape(dlogits.shape[0], 1, 1, self.spec.num_classes))
 
     def stage_features(self, x) -> list[np.ndarray]:
-        """Eval-mode feature map after each stage's blocks."""
-        x = self.embed(x, False)
+        """Eval-mode feature map after each stage's last layer."""
         feats = []
-        for stage in self.stages:
-            x = stage(x, False)
-            feats.append(x)
+        for i, (_, layer) in enumerate(self.layers[: self.stage_ends[-1] + 1]):
+            x = layer(x, False)
+            if i in self.stage_ends:
+                feats.append(x)
         return feats
 
     def macs_rows(self, input_shape) -> list[tuple[str, int]]:
-        n, h, w, cin = input_shape
-        rows = [("embed", self.embed.macs(input_shape))]
-        shape = self.embed.out_shape(input_shape)
-        for si, stage in enumerate(self.stages, start=1):
-            if stage.downsample is not None:
-                rows.append((f"stage{si}.downsample", stage.downsample.macs(shape)))
-                shape = stage.downsample.out_shape(shape)
-            for bi, b in enumerate(stage.blocks, start=1):
-                rows.append((f"stage{si}.block{bi}", b.macs(shape)))
-        rows.append(("head", self.head.macs(shape)))
-        return rows
+        return [(name, m) for name, m in self._layer_macs(input_shape) if m]
 
 
-class _SpcDown(Module):
-    """Stride-2 stand-in for a strided conv: shift mixer then 2x2 mean pool."""
+class CaterpillarModel(_Chain):
+    """Four-stage pyramid of mixer blocks with patch embedding and pooled head."""
 
-    def __init__(self, cin: int, cout: int, cfg: SpcConfig, rng: Rng):
-        self.spc = Spc(cin, cout, cfg=cfg, rng=rng)
-        self.pool = AvgPool2d(2)
-
-    def _children(self):
-        return [("spc", self.spc), ("pool", self.pool)]
-
-    def forward(self, x, training=False):
-        return self.pool(self.spc(x, training), training)
-
-    def backward(self, dy):
-        return self.spc.backward(self.pool.backward(dy))
-
-    def out_shape(self, in_shape):
-        return self.pool.out_shape(self.spc.out_shape(in_shape))
-
-    def macs(self, in_shape):
-        return self.spc.macs(in_shape)
+    def __init__(self, spec: ModelSpec, seed: int = 0):
+        plan = spec.stage_plan()
+        rng = Rng(seed)
+        p = spec.patch_size
+        embed = Conv2d(p, spec.input[2], plan[0]["c"], stride=p, padding="valid", rng=rng)
+        layers = [("embed", embed)]
+        stage_ends = []
+        prev_c = plan[0]["c"]
+        for s, st in enumerate(plan, start=1):
+            if st["down"]:
+                k = st["down"]
+                down = Conv2d(k, prev_c, st["c"], stride=k, padding="valid", rng=rng)
+                layers.append((f"stage{s}.downsample", down))
+            for b in range(1, st["depth"] + 1):
+                block = MixerBlock(st["h"], st["w"], st["c"], spec.block, rng=rng)
+                layers.append((f"stage{s}.block{b}", block))
+            stage_ends.append(len(layers) - 1)
+            prev_c = st["c"]
+        head = Sequential(
+            [
+                ("pool", GlobalAvgPool()),
+                ("norm", LayerNorm(prev_c)),
+                ("fc", Linear(prev_c, spec.num_classes, rng=rng)),
+            ]
+        )
+        layers.append(("head", head))
+        super().__init__(spec, layers, stage_ends)
 
 
 class _BasicBlock(Module):
@@ -441,11 +372,10 @@ class _BasicBlock(Module):
                 f"{spec.spc.n_directions} shift directions"
             )
         if use_spc:
-            self.mix1 = (
-                _SpcDown(cin, cout, spec.spc, rng)
-                if stride == 2
-                else Spc(cin, cout, cfg=spec.spc, rng=rng)
-            )
+            self.mix1 = Spc(cin, cout, cfg=spec.spc, rng=rng)
+            if stride == 2:
+                # stride-2 stand-in for a strided conv: shift mixer, 2x2 mean pool
+                self.mix1 = Sequential([("spc", self.mix1), ("pool", AvgPool2d(2))])
             self.mix2 = Spc(cout, cout, cfg=spec.spc, rng=rng)
         else:
             self.mix1 = Conv2d(3, cin, cout, stride=stride, padding="same", rng=rng)
@@ -504,94 +434,31 @@ class _BasicBlock(Module):
         return total
 
 
-class ResNetModel(Module):
+class ResNetModel(_Chain):
     """Standard resnet18 topology with a pool + linear head."""
 
     def __init__(self, spec: ResnetSpec, seed: int = 0):
-        self.spec = spec
         rng = Rng(seed)
-        cin = spec.input[2]
         nc = spec.n_c
-        if spec.use_small_stem:
-            self.stem_conv = Conv2d(3, cin, nc, stride=1, padding="same", rng=rng)
-            self.stem_pool = None
-        else:
-            self.stem_conv = Conv2d(7, cin, nc, stride=2, padding="same", rng=rng)
-            self.stem_pool = MaxPool2d(3, 2, 1)
-        self.stem_bn = BatchNorm2d(nc)
-        self.stem_relu = ReLU()
-        widths = (nc, 2 * nc, 4 * nc, 8 * nc)
-        self.stages = []
-        prev = nc
-        for si, cout in enumerate(widths):
-            stride = 1 if si == 0 else 2
-            blocks = [
-                _BasicBlock(prev, cout, stride, spec, rng),
-                _BasicBlock(cout, cout, 1, spec, rng),
-            ]
-            self.stages.append(blocks)
-            prev = cout
-        self.pool = GlobalAvgPool()
-        self.fc = Linear(prev, spec.num_classes, rng=rng)
-
-    def _children(self):
-        out = [
-            ("stem_conv", self.stem_conv),
-            ("stem_bn", self.stem_bn),
-            ("stem_relu", self.stem_relu),
+        k, stride = (3, 1) if spec.use_small_stem else (7, 2)
+        layers = [
+            ("stem_conv", Conv2d(k, spec.input[2], nc, stride=stride, padding="same", rng=rng)),
+            ("stem_bn", BatchNorm2d(nc)),
+            ("stem_relu", ReLU()),
         ]
-        if self.stem_pool is not None:
-            out.append(("stem_pool", self.stem_pool))
-        for si, blocks in enumerate(self.stages, start=1):
-            for bi, b in enumerate(blocks, start=1):
-                out.append((f"stage{si}.block{bi}", b))
-        out += [("pool", self.pool), ("fc", self.fc)]
-        return out
-
-    def forward(self, x, training=False):
-        x = self.stem_relu(self.stem_bn(self.stem_conv(x, training), training), training)
-        if self.stem_pool is not None:
-            x = self.stem_pool(x, training)
-        for blocks in self.stages:
-            for b in blocks:
-                x = b(x, training)
-        x = self.pool(x, training)
-        out = self.fc(x, training)
-        return out.reshape(out.shape[0], self.spec.num_classes)
-
-    def backward(self, dlogits):
-        dy = dlogits.reshape(dlogits.shape[0], 1, 1, self.spec.num_classes)
-        dy = self.pool.backward(self.fc.backward(dy))
-        for blocks in reversed(self.stages):
-            for b in reversed(blocks):
-                dy = b.backward(dy)
-        if self.stem_pool is not None:
-            dy = self.stem_pool.backward(dy)
-        return self.stem_conv.backward(self.stem_bn.backward(self.stem_relu.backward(dy)))
-
-    def stage_features(self, x) -> list[np.ndarray]:
-        x = self.stem_relu(self.stem_bn(self.stem_conv(x, False), False), False)
-        if self.stem_pool is not None:
-            x = self.stem_pool(x, False)
-        feats = []
-        for blocks in self.stages:
-            for b in blocks:
-                x = b(x, False)
-            feats.append(x)
-        return feats
-
-    def macs_rows(self, input_shape) -> list[tuple[str, int]]:
-        rows = [("stem_conv", self.stem_conv.macs(input_shape))]
-        shape = self.stem_conv.out_shape(input_shape)
-        rows.append(("stem_bn", self.stem_bn.macs(shape)))
-        if self.stem_pool is not None:
-            shape = self.stem_pool.out_shape(shape)
-        for si, blocks in enumerate(self.stages, start=1):
-            for bi, b in enumerate(blocks, start=1):
-                rows.append((f"stage{si}.block{bi}", b.macs(shape)))
-                shape = b.out_shape(shape)
-        rows.append(("fc", self.fc.macs((input_shape[0], 1, 1, shape[3]))))
-        return rows
+        if not spec.use_small_stem:
+            layers.append(("stem_pool", MaxPool2d(3, 2, 1)))
+        stage_ends = []
+        prev = nc
+        for s, cout in enumerate((nc, 2 * nc, 4 * nc, 8 * nc), start=1):
+            layers += [
+                (f"stage{s}.block1", _BasicBlock(prev, cout, 1 if s == 1 else 2, spec, rng)),
+                (f"stage{s}.block2", _BasicBlock(cout, cout, 1, spec, rng)),
+            ]
+            stage_ends.append(len(layers) - 1)
+            prev = cout
+        layers += [("pool", GlobalAvgPool()), ("fc", Linear(prev, spec.num_classes, rng=rng))]
+        super().__init__(spec, layers, stage_ends)
 
 
 def build_caterpillar(spec: ModelSpec, seed: int = 0) -> CaterpillarModel:
@@ -725,7 +592,10 @@ def load_checkpoint(path: str, dtype=np.float32) -> Module:
         raise FormatError(f"checkpoint {path}: missing DATA marker")
     data_line_end = raw.find(b"\n", marker + 1)
     header = raw[nl + 1 : marker].decode("utf-8")
-    count = int(raw[marker + 6 : data_line_end].decode("utf-8"))
+    count_s = raw[marker + 6 : data_line_end].decode("utf-8", "replace")
+    if not count_s.isdigit():
+        raise FormatError(f"checkpoint {path}: bad DATA count {count_s!r}")
+    count = int(count_s)
     blob = raw[data_line_end + 1 :]
     if len(blob) != 4 * count:
         raise FormatError(
@@ -737,19 +607,30 @@ def load_checkpoint(path: str, dtype=np.float32) -> Module:
     model = build_model(spec, seed=0).astype(dtype)
     entries = {}
     for line in manifest_text.strip().splitlines():
-        name, shape_s, offset_s = line.rsplit(" ", 2)
-        shape = () if shape_s == "scalar" else tuple(int(d) for d in shape_s.split("x"))
-        entries[name] = (shape, int(offset_s))
+        try:
+            name, shape_s, offset_s = line.rsplit(" ", 2)
+            shape = () if shape_s == "scalar" else tuple(int(d) for d in shape_s.split("x"))
+            offset = int(offset_s)
+        except ValueError:
+            raise FormatError(f"checkpoint {path}: bad manifest line {line!r}") from None
+        if offset < 0 or min(shape, default=0) < 0 or offset + int(np.prod(shape)) > count:
+            raise FormatError(f"checkpoint {path}: tensor {name} lies outside the data blob")
+        entries[name] = (shape, offset)
     params = dict(model.named_parameters())
     if set(entries) != set(params) | {n for n, _, _ in model.named_buffers()}:
         raise FormatError(f"checkpoint {path}: tensor names do not match the spec's model")
-    for name, p in params.items():
+
+    def stored(name, like):
         shape, offset = entries[name]
-        n = int(np.prod(shape)) if shape else 1
-        p.value = data[offset : offset + n].reshape(shape).astype(dtype)
+        if shape != like.shape:
+            raise FormatError(
+                f"checkpoint {path}: {name} has shape {shape}, the spec's model {like.shape}"
+            )
+        return data[offset : offset + like.size].reshape(shape).astype(dtype)
+
+    for name, p in params.items():
+        p.value = stored(name, p.value)
         p.grad = np.zeros_like(p.value)
     for name, owner, attr in model.named_buffers():
-        shape, offset = entries[name]
-        n = int(np.prod(shape)) if shape else 1
-        setattr(owner, attr, data[offset : offset + n].reshape(shape).astype(dtype))
+        setattr(owner, attr, stored(name, getattr(owner, attr)))
     return model

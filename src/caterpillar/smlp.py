@@ -33,18 +33,6 @@ class Smlp(Module):
         self.col_b = Parameter(np.zeros(h), weight_decay=False) if bias else None
         self.fuse = Linear(3 * c, c, bias=bias, rng=rng)
 
-    def _local_params(self):
-        out = [("row_w", self.row_w)]
-        if self.row_b is not None:
-            out.append(("row_b", self.row_b))
-        out.append(("col_w", self.col_w))
-        if self.col_b is not None:
-            out.append(("col_b", self.col_b))
-        return out
-
-    def _children(self):
-        return [("fuse", self.fuse)]
-
     def forward(self, x, training=False):
         x = ensure_nhwc(x, "smlp input")
         n, h, w, c = x.shape

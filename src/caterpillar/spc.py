@@ -44,7 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ReflectRangeError, ShapeError, ShiftRangeError
+from .errors import (
+    ConfigError,
+    ReflectRangeError,
+    ShapeError,
+    ShiftRangeError,
+    parse_int,
+)
 from .layers import Linear, Module
 from .tensor import Rng, ensure_nhwc
 
@@ -170,7 +176,7 @@ class SpcConfig:
                 else:
                     kwargs["directions"] = tuple(v.strip() for v in value.split("+"))
             elif key == "steps":
-                kwargs["steps"] = int(value)
+                kwargs["steps"] = parse_int(value, "spc config: steps")
             elif key in ("padding", "mixing"):
                 kwargs[key] = value
             else:

@@ -11,7 +11,9 @@ from caterpillar.cli import (
     run_gradcheck,
     write_pgm,
 )
+from caterpillar.blocks import BlockConfig
 from caterpillar.data import synth_blobs
+from caterpillar.models import ModelSpec, build_caterpillar, save_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -217,3 +219,107 @@ class TestDumpFeatures:
         body = path.read_bytes()[len(b"P5\n5 3\n255\n"):]
         assert set(body) == {0}
         assert lo == hi == 2.0
+
+
+def _micro_checkpoint(path):
+    spec = ModelSpec(
+        variant="custom", base_width=8, depths=(1, 1, 1, 1), patch_size=1,
+        input=(16, 16, 3), num_classes=4, block=BlockConfig(ffn_ratio=2),
+    )
+    save_checkpoint(str(path), build_caterpillar(spec))
+    return path
+
+
+def assert_one_error(code, out, err):
+    assert code == 2
+    assert [l for l in err.splitlines() if l.startswith("error:")] == [err.strip()]
+    assert "Traceback" not in out + err
+
+
+def _retype(path, pattern: bytes, repl: bytes):
+    raw, n = re.subn(pattern, repl, path.read_bytes(), count=1)
+    assert n == 1
+    path.write_bytes(raw)
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "body, needle",
+        [
+            ("base_width=abc\ndepths=1,1,1,1\n", "base_width"),
+            ("base_width=8\ndepths=1,x,1,1\n", "depths"),
+            ("base_width=8\n", "depths"),
+        ],
+    )
+    def test_bad_spec_field(self, capsys, tmp_path, body, needle):
+        spec = tmp_path / "bad.spec"
+        spec.write_text("[model]\nfamily=caterpillar\nvariant=custom\n" + body)
+        code, out, err = run_cli(capsys, "paramcount", "--spec-file", str(spec))
+        assert_one_error(code, out, err)
+        assert needle in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--preset", "Mi", "--spc-config", "steps=x"),
+            ("--preset", "Mi", "--input", "32,x,3"),
+            ("--base-width", "8", "--depths", "1,1,one,1"),
+        ],
+    )
+    def test_bad_integer_flag(self, capsys, flags):
+        code, out, err = run_cli(capsys, "paramcount", *flags)
+        assert_one_error(code, out, err)
+
+    def test_bad_data_synth(self, capsys, tmp_path):
+        ckpt = _micro_checkpoint(tmp_path / "m.ckpt")
+        for synth in ("0,16,16,x,3,4", "0,16,16,16,3"):
+            code, out, err = run_cli(
+                capsys, "eval", "--checkpoint", str(ckpt), "--data-synth", synth
+            )
+            assert_one_error(code, out, err)
+            assert "--data-synth" in err
+
+    @pytest.mark.parametrize(
+        "pattern, repl, needle",
+        [
+            (rb"\nDATA \d+\n", b"\nDATA zz\n", "DATA"),
+            (rb"\nembed.w 1x1x3x8 0\n", b"\nembed.w 1x1x3x8\n", "manifest"),
+            (rb"\nembed.w 1x1x3x8 0\n", b"\nembed.w 1xbx3x8 0\n", "manifest"),
+            (rb"\nembed.w 1x1x3x8 0\n", b"\nembed.w 1x1x3x8 99999999\n", "embed.w"),
+            (rb"\nembed.w 1x1x3x8 0\n", b"\nembed.w 1x1x8x3 0\n", "embed.w"),
+        ],
+    )
+    def test_bad_checkpoint_header(self, capsys, tmp_path, pattern, repl, needle):
+        ckpt = _micro_checkpoint(tmp_path / "m.ckpt")
+        _retype(ckpt, pattern, repl)
+        code, out, err = run_cli(
+            capsys, "eval", "--checkpoint", str(ckpt), "--data-synth", "0,16,16,16,3,4"
+        )
+        assert_one_error(code, out, err)
+        assert needle in err
+
+
+class TestCompat:
+    def test_labels_beyond_model_classes(self, capsys, tmp_path, micro_flags):
+        ckpt = _micro_checkpoint(tmp_path / "m.ckpt")
+        code, out, err = run_cli(
+            capsys, "eval", "--checkpoint", str(ckpt), "--data-synth", "0,18,16,16,3,9"
+        )
+        assert_one_error(code, out, err)
+        assert "label 8" in err and "4 classes" in err
+        flags = [f for f in micro_flags if f != "0,16,16,16,3,4"]
+        code, out, err = run_cli(
+            capsys, "train", *flags, "0,18,16,16,3,9", "--steps", "1", "--batch-size", "8"
+        )
+        assert_one_error(code, out, err)
+
+    @pytest.mark.parametrize("index", ["16", "-1"])
+    def test_image_index_out_of_range(self, capsys, tmp_path, index):
+        ckpt = _micro_checkpoint(tmp_path / "m.ckpt")
+        code, out, err = run_cli(
+            capsys, "dump-features", "--checkpoint", str(ckpt),
+            "--data-synth", "0,16,16,16,3,4", "--image-index", index,
+            "--out-dir", str(tmp_path / "maps"),
+        )
+        assert_one_error(code, out, err)
+        assert f"image index {index}" in err and "[0, 16)" in err
