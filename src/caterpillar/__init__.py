@@ -24,7 +24,6 @@ from .layers import (
     Module,
     Parameter,
     ReLU,
-    Sequential,
     finite_diff_check,
 )
 from .models import (
