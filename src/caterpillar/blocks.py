@@ -60,6 +60,8 @@ class BlockConfig:
             raise ConfigError(f"block config: unknown combine strategy {self.combine!r}")
         if self.ffn_ratio < 1:
             raise ConfigError(f"block config: ffn_ratio must be >= 1, got {self.ffn_ratio}")
+        if self.dw_kernel < 1:
+            raise ConfigError(f"block config: dw_kernel must be >= 1, got {self.dw_kernel}")
 
 
 class MixerBlock(Module):
@@ -146,7 +148,6 @@ class MixerBlock(Module):
 
     def forward(self, x, training=False):
         y = self._token_mix_forward(x, training)
-        self._y = y
         return self.ffn(self.ln(y, training), training) + y
 
     def backward(self, dz):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .blocks import COMBINE_STRATEGIES, BlockConfig, MixerBlock
 from .data import LabeledImages, load_cifar10_binary, load_idx, load_raw_blob, synth_blobs
-from .errors import CaterpillarError, parse_int
+from .errors import CaterpillarError, ConfigError, parse_int
 from .layers import (
     FFN,
     GELU,
@@ -38,14 +38,16 @@ from .models import (
     build_model,
     caterpillar_param_formula,
     count_params,
+    decode_spec,
     estimate_flops,
     load_checkpoint,
     local_mixer_param_count,
-    parse_model_spec,
     save_checkpoint,
+    set_spec_key,
+    split_spec,
 )
 from .smlp import Smlp
-from .spc import DIRECTION_PRESETS, MIXING_WAYS, PADDING_MODES, Spc, SpcConfig
+from .spc import DIRECTION_PRESETS, MIXING_WAYS, PADDING_MODES, Spc, SpcConfig, split_pairs
 from .tensor import Rng
 from .train import TrainConfig, evaluate, train_loop
 
@@ -58,8 +60,8 @@ BENCH_HEADER = "operator,config,input_shape,direction,wall_time_s,images_per_s,a
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec-file", help="model spec file (key=value sections)")
     p.add_argument("--preset", choices=["Mi", "Tx", "T", "S", "B"], help="pyramid preset")
-    p.add_argument("--family", choices=["caterpillar", "resnet18"], default="caterpillar")
-    p.add_argument("--n-c", type=int, default=64, help="resnet18 first-stage width")
+    p.add_argument("--family", choices=["caterpillar", "resnet18"], help="default caterpillar")
+    p.add_argument("--n-c", type=int, help="resnet18 first-stage width")
     p.add_argument("--resolution", type=int, help="square input resolution")
     p.add_argument("--input", help="input as H,W,C")
     p.add_argument("--classes", type=int, help="classifier outputs")
@@ -80,52 +82,52 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
     return tuple(parse_int(v, flag) for v in text.split(","))
 
 
-def _spec_from_args(args) -> "ModelSpec | ResnetSpec":
-    if args.spec_file:
-        with open(args.spec_file, "r", encoding="utf-8") as f:
-            spec = parse_model_spec(f.read())
-    elif args.family == "resnet18":
-        spec = ResnetSpec(n_c=args.n_c, local_mixer=args.local_mixer or "conv3x3")
-    elif args.preset:
-        spec = ModelSpec.preset(args.preset)
-    elif args.base_width and args.depths:
-        spec = ModelSpec(
-            variant="custom",
-            base_width=args.base_width,
-            depths=_int_list(args.depths, "--depths"),
-        )
-    else:
-        raise CaterpillarError("no model given: use --spec-file, --preset, or --base-width/--depths")
+# Model flag (argparse dest) -> the spec key it sets; the family's key table
+# names the section.  family comes first: it picks the table.
+_MODEL_FLAGS = {
+    "family": "family",
+    "preset": "variant",
+    "base_width": "base_width",
+    "depths": "depths",
+    "n_c": "n_c",
+    "patch_size": "patch_size",
+    "input": "input",
+    "classes": "num_classes",
+    "channel_schedule": "channel_schedule",
+    "local_mixer": "local_mixer",
+    "combine": "combine",
+    "ffn_ratio": "ffn_ratio",
+}
 
-    over = {}
-    if args.resolution:
-        over["input"] = (args.resolution, args.resolution, spec.input[2])
-    if args.input:
-        over["input"] = _int_list(args.input, "--input")
-    if args.classes:
-        over["num_classes"] = args.classes
-    if isinstance(spec, ResnetSpec):
-        if args.local_mixer and not args.spec_file:
-            over["local_mixer"] = args.local_mixer
-        if args.spc_config:
-            over["spc"] = SpcConfig.parse(args.spc_config, base=spec.spc)
-        return dataclasses.replace(spec, **over)
-    if args.patch_size:
-        over["patch_size"] = args.patch_size
-    if args.channel_schedule:
-        over["channel_schedule"] = _int_list(args.channel_schedule, "--channel-schedule")
-    blk = {}
-    if args.ffn_ratio:
-        blk["ffn_ratio"] = args.ffn_ratio
-    if args.local_mixer:
-        blk["local_mixer"] = args.local_mixer
-    if args.combine:
-        blk["combine"] = args.combine
+
+def _read_spec_file(path: str) -> dict[str, dict[str, str]]:
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return split_spec(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"spec file {path}: byte {exc.start} is not UTF-8") from None
+
+
+def _spec_from_args(args) -> "ModelSpec | ResnetSpec":
+    """Decode the spec file (or the family's base) with every model flag applied."""
+    if args.spec_file:
+        sections = _read_spec_file(args.spec_file)
+    elif all(getattr(args, flag) is None for flag in ("family", "preset", "base_width", "depths")):
+        raise CaterpillarError("no model given: use --spec-file, --preset, or --base-width/--depths")
+    else:
+        sections = {}
+    for flag, key in _MODEL_FLAGS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            set_spec_key(sections, key, str(value), "--" + flag.replace("_", "-"))
     if args.spc_config:
-        blk["spc"] = SpcConfig.parse(args.spc_config, base=spec.block.spc)
-    if blk:
-        over["block"] = dataclasses.replace(spec.block, **blk)
-    return dataclasses.replace(spec, **over)
+        sections.setdefault("spc", {}).update(split_pairs(args.spc_config))
+    if args.resolution is not None and args.input is None:
+        # keeps the channel count of the input the file and flags give
+        r, channels = args.resolution, decode_spec(sections).input[2]
+        set_spec_key(sections, _MODEL_FLAGS["input"], f"{r},{r},{channels}", "--resolution")
+    return decode_spec(sections)
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -295,7 +297,12 @@ def run_gradcheck(target: str = "all", spc_override: str | None = None, trials: 
 
 def cmd_gradcheck(args) -> int:
     ok, rows = run_gradcheck(args.target, args.config, args.trials, args.seed)
-    width = max(len(r[1]) for r in rows) if rows else 10
+    if not rows:
+        known = sorted({case[0] for case in _gradcheck_cases("all", None, args.seed)})
+        raise CaterpillarError(
+            f"gradcheck: no check matches target {args.target!r}; known: all, {', '.join(known)}"
+        )
+    width = max(len(r[1]) for r in rows)
     for name, cfg_text, worst, tol, passed in rows:
         status = "pass" if passed else "FAIL"
         print(f"{status}  {name:<10} {cfg_text:<{width}}  max_rel_err={worst:.3e}  tol={tol:g}")

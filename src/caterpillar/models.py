@@ -22,7 +22,9 @@ File formats (both documented in the README):
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,11 +63,17 @@ SMALL_IMAGE_PROFILES = {
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Pyramid-family architecture description."""
+    """Pyramid-family architecture description.
+
+    A preset variant fills base_width and depths when they are None; any
+    other variant (custom) must give both.
+    """
+
+    family: ClassVar[str] = "caterpillar"
 
     variant: str = "custom"
-    base_width: int = 80
-    depths: tuple[int, int, int, int] = (2, 8, 14, 2)
+    base_width: int | None = None
+    depths: tuple[int, int, int, int] | None = None
     patch_size: int = 4
     input: tuple[int, int, int] = (224, 224, 3)
     num_classes: int = 1000
@@ -73,14 +81,20 @@ class ModelSpec:
     channel_schedule: tuple[int, int, int, int] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "depths", tuple(self.depths))
-        object.__setattr__(self, "input", tuple(self.input))
-        if self.channel_schedule is not None:
-            object.__setattr__(self, "channel_schedule", tuple(self.channel_schedule))
-        if len(self.depths) != 4:
-            raise ConfigError(f"model spec: need 4 stage depths, got {self.depths}")
-        if any(d < 1 for d in self.depths):
-            raise ConfigError(f"model spec: stage depths must be >= 1, got {self.depths}")
+        if not re.fullmatch(r"[\w.+-]+", self.variant):
+            raise ConfigError(f"model spec: variant must be one word, got {self.variant!r}")
+        width, depths = VARIANT_PRESETS.get(self.variant, (None, None))
+        if self.base_width is None:
+            object.__setattr__(self, "base_width", width)
+        if self.depths is None:
+            object.__setattr__(self, "depths", depths)
+        missing = [k for k in ("base_width", "depths") if getattr(self, k) is None]
+        if missing:
+            raise ConfigError(f"model spec: custom variant needs {' and '.join(missing)}")
+        for name, n in (("depths", 4), ("input", 3), ("channel_schedule", 4),
+                        ("base_width", None), ("patch_size", None), ("num_classes", None)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _check_ints(getattr(self, name), name, n))
 
     @classmethod
     def preset(cls, name: str, **overrides) -> "ModelSpec":
@@ -88,8 +102,7 @@ class ModelSpec:
             raise ConfigError(
                 f"model spec: unknown preset {name!r}, choose from {sorted(VARIANT_PRESETS)}"
             )
-        width, depths = VARIANT_PRESETS[name]
-        return cls(variant=name, base_width=width, depths=depths, **overrides)
+        return cls(variant=name, **overrides)
 
     @property
     def widths(self) -> tuple[int, int, int, int]:
@@ -138,34 +151,14 @@ class ModelSpec:
         return plan
 
     def serialize(self) -> str:
-        lines = [
-            "[model]",
-            "family=caterpillar",
-            f"variant={self.variant}",
-            f"base_width={self.base_width}",
-            "depths=" + ",".join(str(d) for d in self.depths),
-            f"patch_size={self.patch_size}",
-            "input=" + ",".join(str(d) for d in self.input),
-            f"num_classes={self.num_classes}",
-        ]
-        if self.channel_schedule is not None:
-            lines.append("channel_schedule=" + ",".join(str(c) for c in self.channel_schedule))
-        blk = self.block
-        lines += [
-            "[block]",
-            f"local_mixer={blk.local_mixer}",
-            f"combine={blk.combine}",
-            f"ffn_ratio={blk.ffn_ratio}",
-            f"dw_kernel={blk.dw_kernel}",
-            "[spc]",
-        ]
-        lines += blk.spc.serialize().split(";")
-        return "\n".join(lines) + "\n"
+        return _write_spec(self)
 
 
 @dataclass(frozen=True)
 class ResnetSpec:
     """resnet18-family description (conv baseline or shift-mixer variant)."""
+
+    family: ClassVar[str] = "resnet18"
 
     n_c: int = 64
     local_mixer: str = "conv3x3"  # conv3x3 | spc
@@ -175,9 +168,10 @@ class ResnetSpec:
     spc: SpcConfig = field(default_factory=SpcConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "input", tuple(self.input))
         if self.local_mixer not in ("conv3x3", "spc"):
             raise ConfigError(f"resnet spec: unknown local mixer {self.local_mixer!r}")
+        for name, n in (("n_c", None), ("num_classes", None), ("input", 3)):
+            object.__setattr__(self, name, _check_ints(getattr(self, name), name, n))
         if self.small_stem is None:
             object.__setattr__(self, "small_stem", min(self.input[0], self.input[1]) < 64)
 
@@ -186,21 +180,77 @@ class ResnetSpec:
         return bool(self.small_stem)
 
     def serialize(self) -> str:
-        lines = [
-            "[model]",
-            "family=resnet18",
-            f"n_c={self.n_c}",
-            f"local_mixer={self.local_mixer}",
-            f"num_classes={self.num_classes}",
-            "input=" + ",".join(str(d) for d in self.input),
-            f"small_stem={'yes' if self.use_small_stem else 'no'}",
-            "[spc]",
-        ]
-        lines += self.spc.serialize().split(";")
-        return "\n".join(lines) + "\n"
+        return _write_spec(self)
 
 
-def _parse_sections(text: str) -> dict[str, dict[str, str]]:
+def _check_ints(value, name: str, n: int | None):
+    """An int >= 1 (n None) or a tuple of n ints >= 1; ConfigError naming the field."""
+    if n is None:
+        if value < 1:
+            raise ConfigError(f"model spec: {name} must be >= 1, got {value}")
+        return value
+    value = tuple(value)
+    if len(value) != n or min(value) < 1:
+        raise ConfigError(f"model spec: {name} needs {n} values >= 1, got {value}")
+    return value
+
+
+def _decode_ints(text: str, what: str) -> tuple[int, ...]:
+    return tuple(parse_int(v, what) for v in text.split(","))
+
+
+def _decode_yes_no(text: str, what: str) -> bool:
+    if text not in ("yes", "no"):
+        raise ConfigError(f"{what}: expected yes or no, got {text!r}")
+    return text == "yes"
+
+
+# Value kinds: (encode value -> text, decode (text, what) -> value).
+_INT = (str, parse_int)
+_INTS = (lambda v: ",".join(str(d) for d in v), _decode_ints)
+_STR = (str, lambda text, what: text)
+_YES_NO = (lambda v: "yes" if v else "no", _decode_yes_no)
+
+# The model spec text format: per family, each [section] in written order
+# with the class it builds and its keys in written order, each with its
+# kind.  A key names the field it sets; a section after [model] is the
+# field of that name on the section before it (spec.block, spec.block.spc).
+# [spc] holds SpcConfig's own key=value pairs.  `family` picks the table.
+SPEC_KEYS = {
+    "caterpillar": {
+        "model": (ModelSpec, {"family": _STR, "variant": _STR, "base_width": _INT, "depths": _INTS,
+                              "patch_size": _INT, "input": _INTS, "num_classes": _INT,
+                              "channel_schedule": _INTS}),
+        "block": (BlockConfig, {"local_mixer": _STR, "combine": _STR, "ffn_ratio": _INT,
+                                "dw_kernel": _INT}),
+        "spc": (SpcConfig, None),
+    },
+    "resnet18": {
+        "model": (ResnetSpec, {"family": _STR, "n_c": _INT, "local_mixer": _STR,
+                               "num_classes": _INT, "input": _INTS, "small_stem": _YES_NO}),
+        "spc": (SpcConfig, None),
+    },
+}
+
+
+def _write_spec(spec) -> str:
+    lines = []
+    obj = spec
+    for section, (_, keys) in SPEC_KEYS[spec.family].items():
+        obj = getattr(obj, section, obj)  # [model] is the spec itself
+        lines.append(f"[{section}]")
+        if keys is None:
+            lines += obj.serialize().split(";")
+            continue
+        for key, (encode, _) in keys.items():
+            value = getattr(obj, key)
+            if value is not None:
+                lines.append(f"{key}={encode(value)}")
+    return "\n".join(lines) + "\n"
+
+
+def split_spec(text: str) -> dict[str, dict[str, str]]:
+    """Split spec text into {section: {key: value text}}; FormatError on a stray line."""
     sections: dict[str, dict[str, str]] = {}
     current = None
     for raw in text.splitlines():
@@ -218,62 +268,49 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _int(section: dict, key: str, default: int) -> int:
-    return parse_int(section.get(key, default), f"model spec: {key}")
+def _family_table(sections: dict) -> tuple[str, dict]:
+    family = sections.get("model", {}).get("family", ModelSpec.family)
+    if family not in SPEC_KEYS:
+        raise ConfigError(f"model spec: unknown family {family!r}, choose from {sorted(SPEC_KEYS)}")
+    return family, SPEC_KEYS[family]
 
 
-def _ints(value: str, key: str) -> tuple[int, ...]:
-    return tuple(parse_int(v, f"model spec: {key}") for v in value.split(","))
+def set_spec_key(sections: dict, key: str, text: str, what: str) -> None:
+    """Write key=text into the section of the family's table that holds key."""
+    family, table = _family_table(sections)
+    for section, (_, keys) in table.items():
+        if keys is not None and key in keys:
+            sections.setdefault(section, {})[key] = text
+            return
+    raise ConfigError(f"{what}: a {family} spec has no {key} key")
+
+
+def decode_spec(sections: dict[str, dict[str, str]]) -> "ModelSpec | ResnetSpec":
+    """Build the spec that split_spec sections describe; every key must be in the table."""
+    family, table = _family_table(sections)
+    for section in sections:
+        if section not in table:
+            raise ConfigError(f"model spec: a {family} spec has no [{section}] section")
+    inner = {}  # innermost section first: each object is a field of the one before it
+    for section, (cls, keys) in reversed(table.items()):
+        pairs = sections.get(section, {})
+        if keys is None:
+            obj = cls.parse(pairs)
+        else:
+            kwargs = {}
+            for key, text in pairs.items():
+                if key not in keys:
+                    raise ConfigError(f"model spec: a {family} [{section}] has no key {key!r}")
+                kwargs[key] = keys[key][1](text, f"model spec: {key}")
+            kwargs.pop("family", None)  # picks the table; a class constant, not a field
+            obj = cls(**kwargs, **inner)
+        inner = {section: obj}
+    return obj
 
 
 def parse_model_spec(text: str) -> "ModelSpec | ResnetSpec":
     """Parse the key=value spec format; dispatches on [model] family."""
-    sections = _parse_sections(text)
-    model = sections.get("model", {})
-    family = model.get("family", "caterpillar")
-    spc_cfg = SpcConfig()
-    if "spc" in sections:
-        flat = ";".join(f"{k}={v}" for k, v in sections["spc"].items())
-        spc_cfg = SpcConfig.parse(flat)
-    if family == "resnet18":
-        return ResnetSpec(
-            n_c=_int(model, "n_c", 64),
-            local_mixer=model.get("local_mixer", "conv3x3"),
-            num_classes=_int(model, "num_classes", 1000),
-            input=_ints(model.get("input", "224,224,3"), "input"),
-            small_stem={"yes": True, "no": False}.get(model.get("small_stem", ""), None),
-            spc=spc_cfg,
-        )
-    if family != "caterpillar":
-        raise FormatError(f"model spec: unknown family {family!r}")
-    blk = sections.get("block", {})
-    block = BlockConfig(
-        local_mixer=blk.get("local_mixer", "spc"),
-        spc=spc_cfg,
-        dw_kernel=_int(blk, "dw_kernel", 3),
-        combine=blk.get("combine", "LG"),
-        ffn_ratio=_int(blk, "ffn_ratio", 3),
-    )
-    kwargs = dict(
-        variant=model.get("variant", "custom"),
-        patch_size=_int(model, "patch_size", 4),
-        input=_ints(model.get("input", "224,224,3"), "input"),
-        num_classes=_int(model, "num_classes", 1000),
-        block=block,
-    )
-    if kwargs["variant"] in VARIANT_PRESETS:
-        width, depths = VARIANT_PRESETS[kwargs["variant"]]
-        kwargs["base_width"] = _int(model, "base_width", width)
-        kwargs["depths"] = _ints(model.get("depths", ",".join(map(str, depths))), "depths")
-    else:
-        missing = [k for k in ("base_width", "depths") if k not in model]
-        if missing:
-            raise ConfigError(f"model spec: custom variant needs {' and '.join(missing)}")
-        kwargs["base_width"] = _int(model, "base_width", None)
-        kwargs["depths"] = _ints(model["depths"], "depths")
-    if "channel_schedule" in model:
-        kwargs["channel_schedule"] = _ints(model["channel_schedule"], "channel_schedule")
-    return ModelSpec(**kwargs)
+    return decode_spec(split_spec(text))
 
 
 def adapt_small_images(spec: ModelSpec, profile: str, num_classes: int | None = None) -> ModelSpec:
@@ -591,7 +628,11 @@ def load_checkpoint(path: str, dtype=np.float32) -> Module:
     if marker < 0:
         raise FormatError(f"checkpoint {path}: missing DATA marker")
     data_line_end = raw.find(b"\n", marker + 1)
-    header = raw[nl + 1 : marker].decode("utf-8")
+    try:
+        header = raw[nl + 1 : marker].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = nl + 1 + exc.start
+        raise FormatError(f"checkpoint {path}: header byte {at} is not UTF-8") from None
     count_s = raw[marker + 6 : data_line_end].decode("utf-8", "replace")
     if not count_s.isdigit():
         raise FormatError(f"checkpoint {path}: bad DATA count {count_s!r}")

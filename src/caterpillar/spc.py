@@ -151,24 +151,14 @@ class SpcConfig:
         return f"directions={dirs};steps={self.steps};padding={self.padding};mixing={self.mixing}"
 
     @classmethod
-    def parse(cls, text: str, base: "SpcConfig" | None = None) -> "SpcConfig":
-        """Parse the flat form; unspecified keys fall back to `base` (or defaults)."""
-        base = base or cls()
-        kwargs = {
-            "directions": base.directions,
-            "steps": base.steps,
-            "padding": base.padding,
-            "mixing": base.mixing,
-        }
-        for chunk in text.replace(",", ";").split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if "=" not in chunk:
-                raise ConfigError(f"spc config: expected key=value, got {chunk!r}")
-            key, value = (t.strip() for t in chunk.split("=", 1))
+    def parse(cls, pairs: "str | dict[str, str]") -> "SpcConfig":
+        """Parse the flat form, or its split_pairs dict; missing keys take the defaults."""
+        if isinstance(pairs, str):
+            pairs = split_pairs(pairs)
+        kwargs = {}
+        for key, value in pairs.items():
             if key == "directions":
-                if value.isdigit():
+                if value.isdecimal():
                     n = int(value)
                     if n not in DIRECTION_PRESETS:
                         raise ConfigError(f"spc config: no direction preset for N={n}")
@@ -182,6 +172,20 @@ class SpcConfig:
             else:
                 raise ConfigError(f"spc config: unknown key {key!r}")
         return cls(**kwargs)
+
+
+def split_pairs(text: str) -> dict[str, str]:
+    """Split flat `key=value` text (`;` or `,` between pairs) into an ordered dict."""
+    pairs = {}
+    for chunk in text.replace(",", ";").split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if "=" not in chunk:
+            raise ConfigError(f"spc config: expected key=value, got {chunk!r}")
+        key, value = (t.strip() for t in chunk.split("=", 1))
+        pairs[key] = value
+    return pairs
 
 
 def _shift_plan(direction: str, h: int, w: int, steps: int, padding: str):

@@ -40,6 +40,10 @@ class TrainConfig:
             raise ConfigError("train config: all learning rates must be positive")
         if self.lr_min > self.lr_peak:
             raise ConfigError("train config: lr_min must be <= lr_peak")
+        if self.batch_size < 1:
+            raise ConfigError(f"train config: batch_size must be >= 1, got {self.batch_size}")
+        if self.warmup_steps < 0:
+            raise ConfigError(f"train config: warmup_steps must be >= 0, got {self.warmup_steps}")
 
 
 def cosine_lr(step: int, cfg: TrainConfig) -> float:

@@ -323,3 +323,107 @@ class TestCompat:
         )
         assert_one_error(code, out, err)
         assert f"image index {index}" in err and "[0, 16)" in err
+
+
+MICRO_FLAGS = ("--base-width", "8", "--depths", "1,1,1,1", "--patch-size", "1",
+               "--input", "16,16,3", "--classes", "4")
+
+
+class TestSpecChecks:
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (("paramcount", "--preset", "Mi", "--input", "16,16"), "input"),
+            (("paramcount", "--base-width", "-8", "--depths", "1,1,1,1"), "base_width"),
+            (("paramcount", "--base-width", "0", "--depths", "1,1,1,1"), "base_width"),
+            (("paramcount", *MICRO_FLAGS, "--channel-schedule", "8,16,32"), "channel_schedule"),
+            (("paramcount", "--preset", "Mi", "--classes", "0"), "num_classes"),
+            (("paramcount", "--family", "resnet18", "--n-c", "0"), "n_c"),
+            (("paramcount", "--family", "resnet18", "--ffn-ratio", "4"), "--ffn-ratio"),
+            (("paramcount", "--family", "resnet18", "--preset", "Mi"), "--preset"),
+            (("train", *MICRO_FLAGS, "--data-synth", "0,16,16,16,3,4", "--batch-size", "0"),
+             "batch_size"),
+            (("train", *MICRO_FLAGS, "--data-synth", "0,16,16,16,3,4", "--warmup-steps", "-1"),
+             "warmup_steps"),
+        ],
+    )
+    def test_bad_flag_value(self, capsys, argv, needle):
+        code, out, err = run_cli(capsys, *argv)
+        assert_one_error(code, out, err)
+        assert needle in err
+
+    @pytest.mark.parametrize(
+        "body, needle",
+        [
+            ("[model]\nvariant=Mi\ninput=16,16\n", "input"),
+            ("[model]\nvariant=Mi\n[block]\nlocal_mixer=dwconv\ndw_kernel=-1\n", "dw_kernel"),
+            ("[model]\nvariant=Mi\n[block]\nffn_ration=4\n", "ffn_ration"),
+            ("[mdoel]\nvariant=Mi\n", "[mdoel]"),
+            ("[model]\nfamily=resnet18\nsmall_stem=maybe\n", "small_stem"),
+            ("[model]\nfamily=resnet18\n[block]\nffn_ratio=2\n", "[block]"),
+            ("[model]\nfamily=resnet18\nvariant=Mi\n", "variant"),
+            ("[model]\nfamily=resnet34\n", "resnet34"),
+        ],
+    )
+    def test_bad_spec_file(self, capsys, tmp_path, body, needle):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(body)
+        code, out, err = run_cli(capsys, "paramcount", "--spec-file", str(spec))
+        assert_one_error(code, out, err)
+        assert needle in err
+
+    @pytest.mark.parametrize("byte", [b"\xff", b"\x80"])
+    def test_non_utf8_spec_file(self, capsys, tmp_path, byte):
+        spec = tmp_path / "bad.spec"
+        spec.write_bytes(b"[model]\nvariant=Mi" + byte + b"\n")
+        code, out, err = run_cli(capsys, "paramcount", "--spec-file", str(spec))
+        assert_one_error(code, out, err)
+        assert "UTF-8" in err
+
+    @pytest.mark.parametrize("byte", [b"\xff", b"\x80"])
+    def test_non_utf8_checkpoint_header(self, capsys, tmp_path, byte):
+        ckpt = _micro_checkpoint(tmp_path / "m.ckpt")
+        _retype(ckpt, rb"variant=custom", b"variant=custom" + byte)
+        code, out, err = run_cli(
+            capsys, "eval", "--checkpoint", str(ckpt), "--data-synth", "0,16,16,16,3,4"
+        )
+        assert_one_error(code, out, err)
+        assert "UTF-8" in err
+
+    def test_unknown_gradcheck_target(self, capsys):
+        code, out, err = run_cli(capsys, "gradcheck", "--target", "nosuch")
+        assert_one_error(code, out, err)
+        assert "nosuch" in err and "linear" in err and "spc" in err
+
+
+def total_macs(out: str) -> int:
+    return int(re.search(r"total MACs:\s+(\d+)", out).group(1))
+
+
+class TestFlagsMatchSpecFiles:
+    def test_resnet18_small_input_stem(self, capsys, tmp_path):
+        spec = tmp_path / "r.spec"
+        spec.write_text("[model]\nfamily=resnet18\ninput=32,32,3\nnum_classes=10\n")
+        for argv in (
+            ("--family", "resnet18", "--input", "32,32,3", "--classes", "10"),
+            ("--family", "resnet18", "--resolution", "32", "--classes", "10"),
+            ("--spec-file", str(spec)),
+        ):
+            code, out, _ = run_cli(capsys, "paramcount", *argv)
+            assert code == 0
+            assert total_macs(out) == 556_037_120
+
+    def test_spec_file_takes_local_mixer_flag(self, capsys, tmp_path):
+        spec = tmp_path / "r.spec"
+        spec.write_text("[model]\nfamily=resnet18\ninput=32,32,3\nnum_classes=10\n")
+        code, out, _ = run_cli(
+            capsys, "paramcount", "--spec-file", str(spec), "--local-mixer", "spc"
+        )
+        assert code == 0
+        code, flag_out, _ = run_cli(
+            capsys, "paramcount", "--family", "resnet18", "--local-mixer", "spc",
+            "--resolution", "32", "--classes", "10",
+        )
+        assert code == 0
+        assert parse_total_params(out) == parse_total_params(flag_out)
+        assert total_macs(out) == total_macs(flag_out) < 556_037_120

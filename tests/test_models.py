@@ -4,10 +4,14 @@ import hashlib
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from caterpillar.blocks import COMBINE_STRATEGIES, LOCAL_MIXERS, BlockConfig
-from caterpillar.errors import BuildError, ConfigError, FormatError
+from caterpillar.errors import BuildError, CaterpillarError, ConfigError, FormatError
 from caterpillar.models import (
+    SPEC_KEYS,
+    VARIANT_PRESETS,
     ModelSpec,
     ResnetSpec,
     adapt_small_images,
@@ -23,7 +27,7 @@ from caterpillar.models import (
     save_checkpoint,
 )
 from caterpillar.layers import Linear, Module
-from caterpillar.spc import SpcConfig
+from caterpillar.spc import DIRECTION_PRESETS, MIXING_WAYS, PADDING_MODES, SpcConfig, split_pairs
 from caterpillar.tensor import Rng
 
 
@@ -387,3 +391,140 @@ class TestLayoutPin:
             ("stage4.block2", 264192),
             ("fc", 256),
         ]
+
+
+# Texts drawn for each table key: tiny valid values, out-of-range and
+# malformed ones.  The size keys are always written, so every model that
+# builds is tiny.
+_KEY_TEXTS = {
+    "variant": ["custom", "Mi", "x y", ""],
+    "base_width": ["1", "4", "8", "0", "-3", "x"],
+    "depths": ["1,1,1,1", "1,2,1,1", "1,1,1", "1,0,1,1", "a"],
+    "patch_size": ["1", "2", "3", "0"],
+    "input": ["8,8,3", "4,8,1", "8,8", "0,8,3", "8,8,3,1", "2,2,1"],
+    "num_classes": ["1", "3", "0", "-1"],
+    "channel_schedule": ["4,8,8,16", "4,8,16", "4,0,8,8"],
+    "local_mixer": [*LOCAL_MIXERS, "conv3x3", "nope"],
+    "combine": [*COMBINE_STRATEGIES, "XX"],
+    "ffn_ratio": ["1", "2", "0"],
+    "dw_kernel": ["1", "3", "2", "-1"],
+    "n_c": ["4", "8", "3", "0"],
+    "small_stem": ["yes", "no", "maybe", ""],
+    "directions": ["4", "5", "8", "7", "up+down", "up+up", ""],
+    "steps": ["0", "1", "2", "-1", "x"],
+    "padding": [*PADDING_MODES, "torus"],
+    "mixing": [*MIXING_WAYS, "blend"],
+}
+_ALWAYS = ("family", "input", "num_classes", "base_width", "n_c")
+
+
+@st.composite
+def spec_texts(draw):
+    """(text, stray): spec text over the table's keys, with a stray key or section."""
+    family = draw(st.sampled_from(sorted(SPEC_KEYS)))
+    table = SPEC_KEYS[family]
+    spc_keys = tuple(split_pairs(SpcConfig().serialize()))
+    sections = {}
+    for section, (_, keys) in table.items():
+        pairs = {}
+        for key in keys if keys is not None else spc_keys:
+            if key in _ALWAYS or draw(st.booleans()):
+                pairs[key] = family if key == "family" else draw(st.sampled_from(_KEY_TEXTS[key]))
+        sections[section] = pairs
+    stray = draw(st.sampled_from([None, "key", "section"]))
+    if stray == "key":
+        section = draw(st.sampled_from(sorted(sections)))
+        names = [k for k in ("ffn_ration", "n_c", "variant", "combine", "steps")
+                 if k not in (table[section][1] or spc_keys)]
+        sections[section][draw(st.sampled_from(names))] = "1"
+    elif stray == "section":
+        sections[draw(st.sampled_from([s for s in ("mdoel", "block") if s not in table]))] = {}
+    lines = []
+    for section, pairs in sections.items():
+        lines.append(f"[{section}]")
+        lines += draw(st.permutations([f"{k}={v}" for k, v in pairs.items()]))
+    return "\n".join(lines) + "\n", stray
+
+
+_words = st.text(alphabet=st.sampled_from("aZ_9.+- \n=#[]"), max_size=5)
+
+
+@st.composite
+def valid_specs(draw):
+    ints = st.integers(1, 10**6)
+    spc = SpcConfig(
+        directions=draw(st.sampled_from([*DIRECTION_PRESETS.values(), ("up", "center")])),
+        steps=draw(st.integers(0, 3)),
+        padding=draw(st.sampled_from(PADDING_MODES)),
+        mixing=draw(st.sampled_from(MIXING_WAYS)),
+    )
+    if draw(st.booleans()):
+        return ResnetSpec(
+            n_c=draw(ints),
+            local_mixer=draw(st.sampled_from(["conv3x3", "spc"])),
+            num_classes=draw(ints),
+            input=draw(st.tuples(ints, ints, ints)),
+            small_stem=draw(st.sampled_from([None, True, False])),
+            spc=spc,
+        )
+    kwargs = dict(
+        variant=draw(st.one_of(st.sampled_from([*VARIANT_PRESETS, "custom"]), _words)),
+        patch_size=draw(ints),
+        input=draw(st.tuples(ints, ints, ints)),
+        num_classes=draw(ints),
+        channel_schedule=draw(st.none() | st.tuples(ints, ints, ints, ints)),
+        block=BlockConfig(
+            local_mixer=draw(st.sampled_from(LOCAL_MIXERS)),
+            combine=draw(st.sampled_from(COMBINE_STRATEGIES)),
+            ffn_ratio=draw(ints),
+            dw_kernel=draw(ints),
+            spc=spc,
+        ),
+    )
+    if kwargs["variant"] not in VARIANT_PRESETS or draw(st.booleans()):
+        kwargs.update(base_width=draw(ints), depths=draw(st.tuples(ints, ints, ints, ints)))
+    try:
+        return ModelSpec(**kwargs)
+    except ConfigError:
+        assume(False)
+
+
+@pytest.fixture(scope="module")
+def micro_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    save_checkpoint(str(path), build_caterpillar(MICRO))
+    raw = path.read_bytes()
+    return raw, raw.index(b"\n", raw.index(b"\nDATA ") + 1) + 1
+
+
+class TestSpecProperties:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(spec_texts())
+    def test_spec_text_builds_or_raises_typed(self, case):
+        text, stray = case
+        try:
+            build_model(parse_model_spec(text))
+        except CaterpillarError:
+            return
+        assert stray is None, f"accepted a stray {stray}:\n{text}"
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(valid_specs())
+    def test_valid_specs_round_trip(self, spec):
+        assert parse_model_spec(spec.serialize()) == spec
+
+    @settings(
+        max_examples=200, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_checkpoint_header_byte_loads_or_raises_typed(self, micro_checkpoint, tmp_path, data):
+        raw, header_end = micro_checkpoint
+        pos = data.draw(st.integers(0, header_end - 1))
+        byte = data.draw(st.integers(0, 255))
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(raw[:pos] + bytes([byte]) + raw[pos + 1 :])
+        try:
+            load_checkpoint(str(path))
+        except CaterpillarError:
+            pass

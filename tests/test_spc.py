@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from caterpillar.errors import ConfigError, ReflectRangeError, ShiftRangeError
+from caterpillar.errors import CaterpillarError, ConfigError, ReflectRangeError, ShiftRangeError
 from caterpillar.spc import (
     DIRECTION_PRESETS,
     DIRECTIONS,
@@ -383,3 +383,24 @@ class TestProperties:
         lhs = float(np.sum(layer.forward(x) * g))
         rhs = float(np.sum(x * layer.backward(g)))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+_SPC_VALUES = ["4", "5", "7", "²", "٤", "up+down", "up+up", "center", "", "-1", "0", "2",
+               "x", "zero", "reflect", "torus", "sum", "blend", "1_0"]
+_spc_chunks = st.one_of(
+    st.tuples(
+        st.sampled_from(["directions", "steps", "padding", "mixing", "colour", ""]),
+        st.sampled_from(_SPC_VALUES),
+    ).map("=".join),
+    st.sampled_from(["", " ", "steps", "=", "==1"]),
+)
+
+
+class TestConfigText:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(_spc_chunks, max_size=5), st.sampled_from([";", ",", " ; "]))
+    def test_parse_succeeds_or_raises_typed(self, chunks, sep):
+        try:
+            SpcConfig.parse(sep.join(chunks))
+        except CaterpillarError:
+            pass
