@@ -162,10 +162,11 @@ class Linear(Module):
         if x.shape[-1] != self.cin:
             raise ShapeError(f"linear: input channels {x.shape[-1]} != cin {self.cin}")
         self._x = x
-        out = x @ self.w.value
+        # One 2-D GEMM over all pillars: a 4-D matmul would run one small GEMM per (n, h) row.
+        out = x.reshape(-1, self.cin) @ self.w.value
         if self.b is not None:
-            out = out + self.b.value
-        return out
+            out += self.b.value
+        return out.reshape(x.shape[:-1] + (self.cout,))
 
     def backward(self, dy):
         x = self._x
@@ -174,7 +175,7 @@ class Linear(Module):
         self.w.grad += flat_x.T @ flat_dy
         if self.b is not None:
             self.b.grad += flat_dy.sum(axis=0)
-        return dy @ self.w.value.T
+        return (flat_dy @ self.w.value.T).reshape(x.shape)
 
     def out_shape(self, in_shape):
         return tuple(in_shape[:-1]) + (self.cout,)
@@ -278,13 +279,66 @@ class LayerNorm(Module):
         return int(np.prod(in_shape))
 
 
+# Rational erf for float32 as in Eigen and XLA: erf(z) = z * p(z^2) / q(z^2) on
+# z clamped to [-4, 4], where erf is +-1 in float32.  Coefficients highest degree
+# first; p is pre-halved (exact in binary) so that z * p / q is erf(z) / 2.
+_ERF_P = tuple(np.float32(0.5 * c) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+    -1.60960333262415e-02,
+))
+_ERF_Q = tuple(np.float32(c) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+    -7.37332916720468e-03, -1.42647390514189e-02,
+))
+_INV_SQRT2 = np.float32(np.sqrt(0.5))
+_PHI_CHUNK = 1 << 14  # elements per pass: the scratch buffers stay in cache
+
+
+def _phi_f32(x: np.ndarray) -> np.ndarray:
+    """Normal CDF 0.5 * (1 + erf(x / sqrt(2))) of a float32 array; |error| <= 3e-7.
+
+    Runs one fixed-size chunk at a time with reused scratch buffers, so the
+    only full-size allocation is the result.
+    """
+    flat = x.reshape(-1)
+    phi = np.empty(flat.shape, np.float32)
+    z, z2, p, q = (np.empty(min(_PHI_CHUNK, flat.size), np.float32) for _ in range(4))
+    for start in range(0, flat.size, _PHI_CHUNK):
+        xs = flat[start : start + _PHI_CHUNK]
+        m = xs.size
+        zc, z2c, pc, qc = z[:m], z2[:m], p[:m], q[:m]
+        np.multiply(xs, _INV_SQRT2, out=zc)
+        np.clip(zc, np.float32(-4.0), np.float32(4.0), out=zc)
+        np.multiply(zc, zc, out=z2c)
+        for poly, coeffs in ((pc, _ERF_P), (qc, _ERF_Q)):  # Horner in z^2
+            poly.fill(coeffs[0])
+            for c in coeffs[1:]:
+                np.multiply(poly, z2c, out=poly)
+                np.add(poly, c, out=poly)
+        np.multiply(pc, zc, out=pc)
+        out = phi[start : start + m]
+        np.divide(pc, qc, out=out)
+        np.add(out, np.float32(0.5), out=out)
+    return phi.reshape(x.shape)
+
+
 class GELU(Module):
-    """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
+    """GELU: 0.5 * x * (1 + erf(x / sqrt(2))).
+
+    float64 inputs use scipy's exact erf.  float32 inputs use the rational
+    erf of Eigen and XLA: the normal CDF stays within 3e-7 of the exact
+    value (2.3e-7 measured over [-10, 10], about two float32 epsilons), NaN
+    stays NaN and +inf maps to +inf.
+    """
 
     def forward(self, x, training=False):
         x = np.asarray(x)
         self._x = x
-        self._phi = 0.5 * (1.0 + erf(x / np.sqrt(2.0).astype(x.dtype)))
+        if x.dtype == np.float32:
+            self._phi = _phi_f32(x)
+        else:
+            self._phi = 0.5 * (1.0 + erf(x / np.sqrt(2.0).astype(x.dtype)))
         return x * self._phi
 
     def backward(self, dy):

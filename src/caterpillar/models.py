@@ -657,6 +657,12 @@ def load_checkpoint(path: str, dtype=np.float32) -> Module:
         if offset < 0 or min(shape, default=0) < 0 or offset + int(np.prod(shape)) > count:
             raise FormatError(f"checkpoint {path}: tensor {name} lies outside the data blob")
         entries[name] = (shape, offset)
+    spans = sorted((off, off + int(np.prod(shape)), name) for name, (shape, off) in entries.items())
+    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
+        if start < end:
+            raise FormatError(
+                f"checkpoint {path}: tensors {first} and {second} overlap in the data blob"
+            )
     params = dict(model.named_parameters())
     if set(entries) != set(params) | {n for n, _, _ in model.named_buffers()}:
         raise FormatError(f"checkpoint {path}: tensor names do not match the spec's model")

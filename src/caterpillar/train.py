@@ -44,6 +44,8 @@ class TrainConfig:
             raise ConfigError(f"train config: batch_size must be >= 1, got {self.batch_size}")
         if self.warmup_steps < 0:
             raise ConfigError(f"train config: warmup_steps must be >= 0, got {self.warmup_steps}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"train config: weight_decay must be >= 0, got {self.weight_decay}")
 
 
 def cosine_lr(step: int, cfg: TrainConfig) -> float:

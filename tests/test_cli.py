@@ -299,6 +299,25 @@ class TestTypedErrors:
         assert needle in err
 
 
+class TestCorruptInputs:
+    def test_overlapping_manifest_entries(self, capsys, tmp_path):
+        ckpt = _micro_checkpoint(tmp_path / "m.ckpt")
+        _retype(ckpt, rb"\nembed.b 8 24\n", b"\nembed.b 8 0\n")
+        code, out, err = run_cli(
+            capsys, "eval", "--checkpoint", str(ckpt), "--data-synth", "0,16,16,16,3,4"
+        )
+        assert_one_error(code, out, err)
+        assert "overlap" in err and "embed.b" in err
+
+    def test_negative_weight_decay(self, capsys):
+        code, out, err = run_cli(
+            capsys, "train", *MICRO_FLAGS, "--data-synth", "0,16,16,16,3,4",
+            "--weight-decay", "-5",
+        )
+        assert_one_error(code, out, err)
+        assert "weight_decay" in err
+
+
 class TestCompat:
     def test_labels_beyond_model_classes(self, capsys, tmp_path, micro_flags):
         ckpt = _micro_checkpoint(tmp_path / "m.ckpt")

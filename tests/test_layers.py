@@ -121,6 +121,87 @@ class TestActivations:
         assert abs(out[0, 0, 0, 0] - expected) < 1e-14
 
 
+def _linear_inputs(cin):
+    """1-D, 2-D, 4-D, transposed-view and channel-slice inputs with cin channels."""
+    wide = rand((2, 3, 5, cin + 3), seed=40)
+    return {
+        "1d": rand((cin,), seed=41),
+        "2d": rand((7, cin), seed=42),
+        "4d": rand((2, 3, 5, cin), seed=43),
+        "transposed": rand((2, 5, 3, cin), seed=44).transpose(0, 2, 1, 3),
+        "channel_slice": wide[..., 1 : cin + 1],
+    }
+
+
+class TestLinearFlatGemm:
+    """The one-GEMM Linear matches the per-pillar contraction on any input layout."""
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("kind", ["1d", "2d", "4d", "transposed", "channel_slice"])
+    def test_matches_einsum(self, kind, bias):
+        lin = Linear(6, 4, bias=bias, rng=Rng(5))
+        if bias:
+            lin.b.value = rand((4,), seed=45)
+        x = _linear_inputs(6)[kind]
+        expected = np.einsum("...i,io->...o", x, lin.w.value)
+        if bias:
+            expected = expected + lin.b.value
+        out = lin.forward(x)
+        assert out.shape == x.shape[:-1] + (4,)
+        npt.assert_allclose(out, expected, rtol=0, atol=1e-12)
+        dy = rand(out.shape, seed=46)
+        dx = lin.backward(dy)
+        assert dx.shape == x.shape
+        npt.assert_allclose(dx, np.einsum("...o,io->...i", dy, lin.w.value), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["1d", "4d", "transposed"])
+    def test_float32_in_float32_out(self, kind):
+        lin = Linear(6, 4, rng=Rng(5)).astype(np.float32)
+        x = _linear_inputs(6)[kind].astype(np.float32)
+        out = lin.forward(x)
+        assert out.dtype == np.float32 and out.shape == x.shape[:-1] + (4,)
+        dx = lin.backward(np.ones_like(out))
+        assert dx.dtype == np.float32 and dx.shape == x.shape
+
+
+class TestGeluFloat32:
+    """The float32 GELU states its error bound; float64 stays scipy's exact erf."""
+
+    def test_phi_error_bound(self):
+        from scipy.special import erf
+
+        f32 = np.finfo(np.float32)
+        special = [0.0, -0.0, 4.0, -4.0, 1e30, -1e30, f32.max, -f32.max, f32.tiny, -f32.tiny]
+        x = np.concatenate(
+            [np.linspace(-10, 10, 400_001, dtype=np.float32), np.array(special, np.float32)]
+        )
+        gelu = GELU()
+        gelu.forward(x)
+        assert gelu._phi.dtype == np.float32
+        exact = 0.5 * (1.0 + erf(x.astype(np.float64) / math.sqrt(2.0)))
+        assert np.abs(gelu._phi.astype(np.float64) - exact).max() <= 3e-7
+
+    def test_nan_and_inf(self):
+        gelu = GELU()
+        out = gelu.forward(np.array([np.nan, np.inf], np.float32))
+        assert np.isnan(out[0]) and np.isnan(gelu._phi[0])
+        assert out[1] == np.inf
+
+    def test_float32_shape_and_layout(self):
+        x = rand((2, 3, 5, 9), seed=47).astype(np.float32).transpose(0, 2, 1, 3)[..., 1:8]
+        out = GELU().forward(x)
+        assert out.dtype == np.float32 and out.shape == x.shape
+        expected = GELU().forward(x.astype(np.float64))
+        npt.assert_allclose(out, expected, rtol=0, atol=3e-7 * np.abs(x).max() + 1e-6)
+
+    def test_float64_is_exact_erf(self):
+        from scipy.special import erf
+
+        x = rand((2, 3, 3, 5), seed=48) * 4.0
+        expected = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+        npt.assert_array_equal(GELU().forward(x), expected)
+
+
 class TestFFN:
     def test_asymptotic_identity(self):
         # duplicate-and-average identity blocks; gelu(10) ~ 10 makes it pass through
