@@ -12,6 +12,8 @@ returns the gradient with respect to the layer input.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf
 
@@ -184,11 +186,44 @@ class Linear(Module):
         return int(np.prod(in_shape[:-1])) * self.cin * self.cout
 
 
+_WIDE = 2048  # target row width of the per-channel view
+
+
+def _wide(a: np.ndarray, c: int) -> tuple[np.ndarray, int]:
+    """A (..., c) array as (M/k, k*c) rows, and k.
+
+    k is the largest power of two up to _WIDE/c that divides the M pillars.
+    Row j of the view holds k whole pillars, so channel i sits in columns
+    i, c+i, ...; a per-channel vector v applies as np.tile(v, k) and a column
+    sum folds to per-channel with _fold.  Sums and broadcasts over (M, c)
+    rows run one short inner loop per row; on this view they run a few times
+    faster when c is small.
+    """
+    flat = a.reshape(-1, c)
+    k = math.gcd(flat.shape[0], 1 << (max(1, _WIDE // c).bit_length() - 1))
+    return flat.reshape(-1, k * c), k
+
+
+def _fold(col_sums: np.ndarray, k: int) -> np.ndarray:
+    """Per-channel totals of the k*c column sums of a _wide view."""
+    return col_sums.reshape(k, -1).sum(axis=0)
+
+
+def _channel_sum(a: np.ndarray, c: int) -> np.ndarray:
+    """Per-channel sum of a (..., c) array over every other axis."""
+    rows, k = _wide(a, c)
+    return _fold(rows.sum(axis=0), k)
+
+
 class BatchNorm2d(Module):
     """Channel-wise batch normalization over (N, H, W); eps 1e-5, momentum 0.1.
 
     Training mode normalizes with batch statistics and updates running stats;
-    eval mode is a deterministic affine map using the running statistics.
+    it keeps the centered input x - mean for backward.  Eval mode is one
+    in-place affine map with the running statistics,
+    (x - mean) * (gamma * inv) + beta; it keeps the input itself and
+    rebuilds the centered input in backward, so that a backward after an eval
+    forward still yields every gradient.  All passes run on the _wide view.
     """
 
     buffer_names = ("running_mean", "running_var")
@@ -206,40 +241,48 @@ class BatchNorm2d(Module):
         x = ensure_nhwc(x, "batchnorm input")
         if x.shape[3] != self.c:
             raise ShapeError(f"batchnorm: channels {x.shape[3]} != {self.c}")
+        rows, k = _wide(x, self.c)
         if training:
             m = x.shape[0] * x.shape[1] * x.shape[2]
             if m < 2:
-                raise InsufficientBatchError(
-                    f"batchnorm training needs N*H*W >= 2, got {m}"
-                )
-            mean = x.reshape(-1, self.c).mean(axis=0)
-            centered = x - mean
-            sq = centered.reshape(-1, self.c)
-            var = np.mean(sq * sq, axis=0)
-            inv = 1.0 / np.sqrt(var + self.eps)
-            xhat = centered * inv
-            self._cache = (xhat, inv, m, True)
+                raise InsufficientBatchError(f"batchnorm training needs N*H*W >= 2, got {m}")
+            mean = _fold(rows.sum(axis=0), k) / m
+            centered = rows - np.tile(mean, k)
+            out = np.multiply(centered, centered)
+            var = _fold(out.sum(axis=0), k) / m
             mom = self.momentum
             self.running_mean = ((1 - mom) * self.running_mean + mom * mean).astype(x.dtype)
             unbiased = var * (m / (m - 1))
             self.running_var = ((1 - mom) * self.running_var + mom * unbiased).astype(x.dtype)
         else:
-            inv = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = (x - self.running_mean) * inv
-            self._cache = (xhat, inv, 0, False)
-        return self.gamma.value * xhat + self.beta.value
+            m, mean, var = 0, self.running_mean, self.running_var
+            # Not folded into x * scale + shift: that cancels when |mean| >> std.
+            centered = out = rows - np.tile(mean, k)
+        inv = 1.0 / np.sqrt(var + self.eps)
+        self._cache = (x if m == 0 else centered, mean, inv, m)
+        np.multiply(centered, np.tile(self.gamma.value * inv, k), out=out)
+        out += np.tile(self.beta.value, k)
+        return out.reshape(x.shape)
 
     def backward(self, dy):
-        xhat, inv, m, was_training = self._cache
-        flat_dy = dy.reshape(-1, self.c)
-        prod_sum = (flat_dy * xhat.reshape(-1, self.c)).sum(axis=0)
-        dy_sum = flat_dy.sum(axis=0)
+        kept, mean, inv, m = self._cache
+        if m == 0:  # eval forward: the cache holds the input
+            rows, k = _wide(kept, self.c)
+            centered = rows - np.tile(mean, k)
+        else:
+            centered, k = kept, kept.shape[1] // self.c
+        flat_dy = dy.reshape(centered.shape)
+        buf = flat_dy * centered
+        prod_sum = _fold(buf.sum(axis=0), k) * inv
+        dy_sum = _fold(flat_dy.sum(axis=0), k)
         self.gamma.grad += prod_sum
         self.beta.grad += dy_sum
         g = self.gamma.value * inv
-        if not was_training:
-            return dy * g
-        return g * (dy - dy_sum / m - xhat * (prod_sum / m))
+        dx = flat_dy * np.tile(g, k)
+        if m:
+            dx -= np.multiply(centered, np.tile(g * inv * (prod_sum / m), k), out=buf)
+            dx -= np.tile(g * (dy_sum / m), k)
+        return dx.reshape(dy.shape)
 
     def macs(self, in_shape):
         return int(np.prod(in_shape[:3])) * self.c
@@ -258,22 +301,28 @@ class LayerNorm(Module):
         x = np.asarray(x)
         if x.shape[-1] != self.c:
             raise ShapeError(f"layernorm: channels {x.shape[-1]} != {self.c}")
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * inv
+        xhat = x - x.mean(axis=-1, keepdims=True)
+        out = np.multiply(xhat, xhat)
+        inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + self.eps)
+        xhat *= inv
         self._cache = (xhat, inv)
-        return self.gamma.value * xhat + self.beta.value
+        np.multiply(xhat, self.gamma.value, out=out)
+        out += self.beta.value
+        return out
 
     def backward(self, dy):
         xhat, inv = self._cache
-        axes = tuple(range(dy.ndim - 1))
-        self.gamma.grad += (dy * xhat).sum(axis=axes)
-        self.beta.grad += dy.sum(axis=axes)
-        g = dy * self.gamma.value
-        g_mean = g.mean(axis=-1, keepdims=True)
-        proj = (g * xhat).mean(axis=-1, keepdims=True)
-        return inv * (g - g_mean - xhat * proj)
+        buf = dy * xhat
+        self.gamma.grad += _channel_sum(buf, self.c)
+        self.beta.grad += _channel_sum(dy, self.c)
+        buf *= self.gamma.value
+        proj = buf.mean(axis=-1, keepdims=True)
+        dx = dy * self.gamma.value
+        g_mean = dx.mean(axis=-1, keepdims=True)
+        dx -= np.multiply(xhat, proj, out=buf)
+        dx -= g_mean
+        dx *= inv
+        return dx
 
     def macs(self, in_shape):
         return int(np.prod(in_shape))
@@ -292,17 +341,21 @@ _ERF_Q = tuple(np.float32(c) for c in (
     -7.37332916720468e-03, -1.42647390514189e-02,
 ))
 _INV_SQRT2 = np.float32(np.sqrt(0.5))
+_F32_LOWEST = np.finfo(np.float32).min
 _PHI_CHUNK = 1 << 14  # elements per pass: the scratch buffers stay in cache
+_PDF_CLIP = 40  # |x| beyond which the normal pdf is 0 in float64 and float32
 
 
-def _phi_f32(x: np.ndarray) -> np.ndarray:
-    """Normal CDF 0.5 * (1 + erf(x / sqrt(2))) of a float32 array; |error| <= 3e-7.
+def _gelu_f32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU x * phi(x) and the normal CDF phi of a float32 array; |phi error| <= 3e-7.
 
-    Runs one fixed-size chunk at a time with reused scratch buffers, so the
-    only full-size allocation is the result.
+    phi(x) = 0.5 * (1 + erf(x / sqrt(2))).  Runs one fixed-size chunk at a
+    time with reused scratch buffers, so the only full-size allocations are
+    the two results.
     """
     flat = x.reshape(-1)
     phi = np.empty(flat.shape, np.float32)
+    y = np.empty(flat.shape, np.float32)
     z, z2, p, q = (np.empty(min(_PHI_CHUNK, flat.size), np.float32) for _ in range(4))
     for start in range(0, flat.size, _PHI_CHUNK):
         xs = flat[start : start + _PHI_CHUNK]
@@ -312,15 +365,19 @@ def _phi_f32(x: np.ndarray) -> np.ndarray:
         np.clip(zc, np.float32(-4.0), np.float32(4.0), out=zc)
         np.multiply(zc, zc, out=z2c)
         for poly, coeffs in ((pc, _ERF_P), (qc, _ERF_Q)):  # Horner in z^2
-            poly.fill(coeffs[0])
-            for c in coeffs[1:]:
+            np.multiply(z2c, coeffs[0], out=poly)
+            np.add(poly, coeffs[1], out=poly)
+            for c in coeffs[2:]:
                 np.multiply(poly, z2c, out=poly)
                 np.add(poly, c, out=poly)
         np.multiply(pc, zc, out=pc)
         out = phi[start : start + m]
         np.divide(pc, qc, out=out)
         np.add(out, np.float32(0.5), out=out)
-    return phi.reshape(x.shape)
+        # -inf becomes the lowest finite value, so its product with phi = 0 is -0, not NaN.
+        np.maximum(xs, _F32_LOWEST, out=z2c)
+        np.multiply(z2c, out, out=y[start : start + m])
+    return y.reshape(x.shape), phi.reshape(x.shape)
 
 
 class GELU(Module):
@@ -328,33 +385,57 @@ class GELU(Module):
 
     float64 inputs use scipy's exact erf.  float32 inputs use the rational
     erf of Eigen and XLA: the normal CDF stays within 3e-7 of the exact
-    value (2.3e-7 measured over [-10, 10], about two float32 epsilons), NaN
-    stays NaN and +inf maps to +inf.
+    value (2.3e-7 measured over [-10, 10], about two float32 epsilons).
+    On both dtypes NaN stays NaN, +inf maps to +inf and -inf to -0.0, and
+    the gradient is 1 at +inf and 0 at -inf, without a floating-point warning.
     """
 
     def forward(self, x, training=False):
         x = np.asarray(x)
         self._x = x
         if x.dtype == np.float32:
-            self._phi = _phi_f32(x)
-        else:
-            self._phi = 0.5 * (1.0 + erf(x / np.sqrt(2.0).astype(x.dtype)))
-        return x * self._phi
+            y, self._phi = _gelu_f32(x)
+            return y
+        self._phi = 0.5 * (1.0 + erf(x / np.sqrt(2.0).astype(x.dtype)))
+        return np.maximum(x, np.finfo(self._phi.dtype).min) * self._phi
 
     def backward(self, dy):
-        x = self._x
-        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi).astype(x.dtype)
-        return dy * (self._phi + x * pdf)
+        """dy * (phi + x * pdf), one cache-sized chunk at a time like _gelu_f32."""
+        x, phi, flat_dy = self._x.reshape(-1), self._phi.reshape(-1), dy.reshape(-1)
+        dx = np.empty(flat_dy.shape, np.result_type(dy, x))
+        a, b = (np.empty(min(_PHI_CHUNK, x.size), x.dtype) for _ in range(2))
+        sqrt_2pi = np.sqrt(2.0 * np.pi).astype(x.dtype)
+        for start in range(0, x.size, _PHI_CHUNK):
+            chunk = slice(start, start + _PHI_CHUNK)
+            m = x[chunk].size
+            xc, t = a[:m], b[:m]
+            # Beyond the clip the pdf is 0 either way; the clip keeps x * pdf at 0 for x = +-inf.
+            np.clip(x[chunk], -_PDF_CLIP, _PDF_CLIP, out=xc)
+            np.multiply(xc, -0.5, out=t)
+            np.multiply(t, xc, out=t)
+            np.exp(t, out=t)
+            np.divide(t, sqrt_2pi, out=t)
+            np.multiply(xc, t, out=t)
+            np.add(phi[chunk], t, out=t)
+            np.multiply(flat_dy[chunk], t, out=dx[chunk])
+        return dx.reshape(dy.shape)
 
 
 class ReLU(Module):
+    """max(x, 0), with gradient dy where x > 0 and zero elsewhere.
+
+    Forward: NaN stays NaN, -inf and -0.0 map to +0.0, +inf stays +inf.
+    Backward is dy * (x > 0): a masked position gives -0.0 where dy is
+    negative, and NaN where dy is NaN or infinite.
+    """
+
     def forward(self, x, training=False):
         x = np.asarray(x)
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0).astype(x.dtype)
+        return np.maximum(x, 0)
 
     def backward(self, dy):
-        return np.where(self._mask, dy, 0.0).astype(dy.dtype)
+        return dy * self._mask
 
 
 class FFN(Sequential):
@@ -414,15 +495,16 @@ class Conv2d(Module):
         pad, ho, wo = _conv_geometry(h, w, self.k, self.stride, self.padding)
         xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
         self._cache = (xp, pad, ho, wo, x.shape)
-        out = np.zeros((n, ho, wo, self.cout), dtype=x.dtype)
+        # One 2-D GEMM per tap on the flattened patch, as in Linear.
+        out = np.zeros((n * ho * wo, self.cout), dtype=x.dtype)
         s = self.stride
         for di in range(self.k):
             for dj in range(self.k):
                 patch = xp[:, di : di + s * ho : s, dj : dj + s * wo : s, :]
-                out += patch @ self.w.value[di, dj]
+                out += patch.reshape(-1, self.cin) @ self.w.value[di, dj]
         if self.b is not None:
             out += self.b.value
-        return out
+        return out.reshape(n, ho, wo, self.cout)
 
     def backward(self, dy):
         xp, pad, ho, wo, in_shape = self._cache
@@ -434,8 +516,8 @@ class Conv2d(Module):
                 patch = xp[:, di : di + s * ho : s, dj : dj + s * wo : s, :]
                 self.w.grad[di, dj] += patch.reshape(-1, self.cin).T @ flat_dy
                 dxp[:, di : di + s * ho : s, dj : dj + s * wo : s, :] += (
-                    dy @ self.w.value[di, dj].T
-                )
+                    flat_dy @ self.w.value[di, dj].T
+                ).reshape(patch.shape)
         if self.b is not None:
             self.b.grad += flat_dy.sum(axis=0)
         if pad:
@@ -564,7 +646,7 @@ class MaxPool2d(Module):
         for idx in range(k * k):
             di, dj = divmod(idx, k)
             mask = self._arg == idx
-            dxp[:, di : di + s * ho : s, dj : dj + s * wo : s, :] += np.where(mask, dy, 0.0)
+            dxp[:, di : di + s * ho : s, dj : dj + s * wo : s, :] += dy * mask
         return dxp[:, p : p + h, p : p + w, :]
 
 
@@ -576,7 +658,7 @@ class GlobalAvgPool(Module):
 
     def backward(self, dy):
         h, w = self._hw
-        return np.broadcast_to(dy / (h * w), (dy.shape[0], h, w, dy.shape[3])).astype(dy.dtype)
+        return np.broadcast_to(dy / (h * w), (dy.shape[0], h, w, dy.shape[3]))
 
     def out_shape(self, in_shape):
         return (in_shape[0], 1, 1, in_shape[3])

@@ -1,0 +1,307 @@
+"""Each fast path in layers.py pinned against the formula it replaced.
+
+The reference functions below are the earlier implementations, kept inline
+so that the fast paths stay equal to them: bit for bit where the new path
+does the same arithmetic, within 1e-12 in float64 where only the order of
+operations changed.
+"""
+
+import warnings
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+
+from caterpillar.layers import (
+    GELU,
+    BatchNorm2d,
+    Conv2d,
+    GlobalAvgPool,
+    LayerNorm,
+    MaxPool2d,
+    ReLU,
+)
+from caterpillar.tensor import Rng, max_rel_error
+
+
+def rand(shape, seed=0):
+    return Rng(seed).normal(int(np.prod(shape))).reshape(shape)
+
+
+def close(a, b, tol=1e-12):
+    assert a.shape == b.shape
+    assert max_rel_error(a, b) < tol
+
+
+class TestReluPin:
+    @staticmethod
+    def old_forward(x):
+        return np.where(x > 0, x, 0.0).astype(x.dtype)
+
+    @staticmethod
+    def old_backward(x, dy):
+        return np.where(x > 0, dy, 0.0).astype(dy.dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_finite_inputs_equal_old_path(self, dtype):
+        x = rand((2, 5, 7, 6), seed=1).astype(dtype)
+        x.reshape(-1)[:4] = (0.0, -0.0, np.finfo(dtype).tiny, -np.finfo(dtype).tiny)
+        dy = rand(x.shape, seed=2).astype(dtype)
+        relu = ReLU()
+        out = relu.forward(x)
+        assert out.dtype == dtype and np.array_equal(out, self.old_forward(x))
+        dx = relu.backward(dy)
+        assert dx.dtype == dtype and np.array_equal(dx, self.old_backward(x, dy))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_special_values(self, dtype):
+        relu = ReLU()
+        out = relu.forward(np.array([np.nan, np.inf, -np.inf, -0.0, 0.0], dtype))
+        assert np.isnan(out[0]) and out[1] == np.inf
+        npt.assert_array_equal(out[2:], 0.0)
+        assert not np.signbit(out[2:]).any()  # -inf and -0.0 give +0.0
+        # masked positions (x <= 0 or NaN) scale dy by 0; unmasked ones pass it
+        relu.forward(np.array([-1.0, -1.0, -1.0, np.nan, 2.0, 2.0], dtype))
+        with np.errstate(invalid="ignore"):  # inf * 0
+            dx = relu.backward(np.array([-3.0, np.nan, np.inf, 5.0, np.inf, -4.0], dtype))
+        assert dx[0] == 0.0 and np.signbit(dx[0])  # -0.0 where dy < 0 is masked
+        assert np.isnan(dx[1]) and np.isnan(dx[2])
+        assert dx[3] == 0.0 and dx[4] == np.inf and dx[5] == -4.0
+
+
+def old_bn_forward(bn, x, training):
+    """BatchNorm2d.forward before buffer reuse; returns (out, cache)."""
+    c = bn.c
+    if training:
+        m = x.shape[0] * x.shape[1] * x.shape[2]
+        mean = x.reshape(-1, c).mean(axis=0)
+        centered = x - mean
+        sq = centered.reshape(-1, c)
+        var = np.mean(sq * sq, axis=0)
+        inv = 1.0 / np.sqrt(var + bn.eps)
+        xhat = centered * inv
+        mom = bn.momentum
+        bn.running_mean = (1 - mom) * bn.running_mean + mom * mean
+        bn.running_var = (1 - mom) * bn.running_var + mom * var * (m / (m - 1))
+        cache = (xhat, inv, m, True)
+    else:
+        inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
+        xhat = (x - bn.running_mean) * inv
+        cache = (xhat, inv, 0, False)
+    return bn.gamma.value * xhat + bn.beta.value, cache
+
+
+def old_bn_backward(bn, dy, cache):
+    """BatchNorm2d.backward before buffer reuse; returns (dx, dgamma, dbeta)."""
+    xhat, inv, m, was_training = cache
+    flat_dy = dy.reshape(-1, bn.c)
+    prod_sum = (flat_dy * xhat.reshape(-1, bn.c)).sum(axis=0)
+    dy_sum = flat_dy.sum(axis=0)
+    g = bn.gamma.value * inv
+    if not was_training:
+        return dy * g, prod_sum, dy_sum
+    return g * (dy - dy_sum / m - xhat * (prod_sum / m)), prod_sum, dy_sum
+
+
+def _bn_pair(c, seed):
+    """Two BatchNorm2d with the same random affine and running statistics."""
+    pair = [BatchNorm2d(c), BatchNorm2d(c)]
+    gamma, beta = rand((c,), seed) + 1.0, rand((c,), seed + 1)
+    rmean, rvar = rand((c,), seed + 2), np.abs(rand((c,), seed + 3)) + 0.5
+    for bn in pair:
+        bn.gamma.value[:], bn.beta.value[:] = gamma, beta
+        bn.running_mean, bn.running_var = rmean.copy(), rvar.copy()
+    return pair
+
+
+# C=1; M=N*H*W=2; M odd, so no power of two divides it; M=105 with C=6;
+# M=64 on the wide view; a transposed (non-contiguous) input
+BN_SHAPES = [(2, 3, 3, 1), (1, 1, 2, 4), (3, 5, 7, 6), (4, 4, 4, 8), "transposed"]
+
+
+def _bn_input(shape, seed):
+    if shape == "transposed":
+        return rand((2, 6, 4, 5), seed).transpose(0, 2, 1, 3)
+    return rand(shape, seed) * 3.0 + 1.5
+
+
+class TestBatchNormPin:
+    @pytest.mark.parametrize("shape", BN_SHAPES)
+    @pytest.mark.parametrize("training", [True, False])
+    def test_matches_old_path(self, shape, training):
+        x = _bn_input(shape, seed=3)
+        new, ref = _bn_pair(x.shape[3], seed=4)
+        out = new.forward(x, training)
+        ref_out, cache = old_bn_forward(ref, x, training)
+        close(out, ref_out)
+        close(new.running_mean, ref.running_mean)
+        close(new.running_var, ref.running_var)
+        dy = rand(out.shape, seed=5)
+        close(new.backward(dy), old_bn_backward(ref, dy, cache)[0])
+        _, dgamma, dbeta = old_bn_backward(ref, dy, cache)
+        close(new.gamma.grad, dgamma)
+        close(new.beta.grad, dbeta)
+
+    def test_eval_backward_uses_forward_input(self):
+        # the eval cache is the input; backward after a later eval forward sees the new one
+        bn, ref = _bn_pair(3, seed=6)
+        bn.forward(rand((2, 3, 3, 3), seed=7), training=False)
+        x = rand((2, 3, 3, 3), seed=8)
+        bn.forward(x, training=False)
+        _, cache = old_bn_forward(ref, x, training=False)
+        dy = rand(x.shape, seed=9)
+        close(bn.backward(dy), old_bn_backward(ref, dy, cache)[0])
+        close(bn.gamma.grad, old_bn_backward(ref, dy, cache)[1])
+
+    def test_eval_float32_large_mean(self):
+        # centring before scaling: a folded x * scale + shift would cancel here
+        bn = BatchNorm2d(2).astype(np.float32)
+        bn.running_mean = np.array([1e4, -3e4], np.float32)
+        bn.running_var = np.array([1e-2, 4e-2], np.float32)
+        x = (bn.running_mean + 0.1 * rand((2, 4, 4, 2), seed=10)).astype(np.float32)
+        out = bn.forward(x, training=False)
+        exact = (x.astype(np.float64) - bn.running_mean) / np.sqrt(
+            bn.running_var.astype(np.float64) + 1e-5
+        )
+        assert out.dtype == np.float32
+        assert np.abs(out - exact).max() < 1e-5
+
+
+def old_ln_forward(ln, x):
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + ln.eps)
+    xhat = (x - mean) * inv
+    return ln.gamma.value * xhat + ln.beta.value, (xhat, inv)
+
+
+def old_ln_backward(ln, dy, cache):
+    xhat, inv = cache
+    axes = tuple(range(dy.ndim - 1))
+    dgamma = (dy * xhat).sum(axis=axes)
+    dbeta = dy.sum(axis=axes)
+    g = dy * ln.gamma.value
+    g_mean = g.mean(axis=-1, keepdims=True)
+    proj = (g * xhat).mean(axis=-1, keepdims=True)
+    return inv * (g - g_mean - xhat * proj), dgamma, dbeta
+
+
+class TestLayerNormPin:
+    @pytest.mark.parametrize(
+        "x",
+        [
+            rand((2, 3, 5, 7), seed=11) * 2.0 + 4.0,
+            rand((9, 4), seed=12),
+            rand((5,), seed=13),
+            rand((2, 5, 3, 6), seed=14).transpose(0, 2, 1, 3),
+            rand((1, 1, 2, 1), seed=15),
+        ],
+        ids=["4d", "2d", "1d", "transposed", "one_channel"],
+    )
+    def test_matches_old_path(self, x):
+        c = x.shape[-1]
+        new, ref = LayerNorm(c), LayerNorm(c)
+        for ln in (new, ref):
+            ln.gamma.value[:] = rand((c,), seed=16) + 1.0
+            ln.beta.value[:] = rand((c,), seed=17)
+        out = new.forward(x)
+        ref_out, cache = old_ln_forward(ref, x)
+        close(out, ref_out)
+        dy = rand(out.shape, seed=18)
+        dx, dgamma, dbeta = old_ln_backward(ref, dy, cache)
+        close(new.backward(dy), dx)
+        close(new.gamma.grad, dgamma)
+        close(new.beta.grad, dbeta)
+
+
+def conv_windows(conv, x):
+    """(n, ho, wo, cin, k, k) windows of the zero-padded input."""
+    pad = conv.k // 2 if conv.padding == "same" else 0
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (conv.k, conv.k), axis=(1, 2))
+    _, ho, wo, _ = conv.out_shape(x.shape)
+    return xp, win[:, :: conv.stride, :: conv.stride][:, :ho, :wo], pad
+
+
+class TestConv2dPin:
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_matches_einsum(self, k, stride, padding, layout):
+        conv = Conv2d(k, 3, 4, stride=stride, padding=padding, rng=Rng(19))
+        conv.b.value = rand((4,), seed=20)
+        x = rand((2, 9, 8, 3), seed=21)
+        if layout == "transposed":
+            x = rand((2, 8, 9, 3), seed=21).transpose(0, 2, 1, 3)
+        w = conv.w.value
+        xp, win, pad = conv_windows(conv, x)
+        out = conv.forward(x)
+        close(out, np.einsum("nhwcij,ijco->nhwo", win, w) + conv.b.value)
+
+        dy = rand(out.shape, seed=22)
+        dx = conv.backward(dy)
+        close(conv.w.grad, np.einsum("nhwcij,nhwo->ijco", win, dy))
+        close(conv.b.grad, dy.sum(axis=(0, 1, 2)))
+        dwin = np.einsum("nhwo,ijco->nhwcij", dy, w)
+        dxp = np.zeros_like(xp)
+        s, ho, wo = stride, out.shape[1], out.shape[2]
+        for i in range(k):
+            for j in range(k):
+                dxp[:, i : i + s * ho : s, j : j + s * wo : s, :] += dwin[..., i, j]
+        close(dx, dxp[:, pad : pad + x.shape[1], pad : pad + x.shape[2], :])
+
+
+class TestPoolBackwardPin:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxpool_matches_where(self, dtype):
+        pool = MaxPool2d(3, 2, 1)
+        x = rand((2, 7, 6, 3), seed=23).astype(dtype)
+        out = pool.forward(x)
+        dy = rand(out.shape, seed=24).astype(dtype)
+        n, h, w, c = x.shape
+        ho, wo = out.shape[1:3]
+        expected = np.zeros((n, h + 2, w + 2, c), dtype)
+        for idx in range(9):
+            di, dj = divmod(idx, 3)
+            expected[:, di : di + 2 * ho : 2, dj : dj + 2 * wo : 2, :] += np.where(
+                pool._arg == idx, dy, 0.0
+            )
+        dx = pool.backward(dy)
+        assert dx.dtype == dtype
+        npt.assert_array_equal(dx, expected[:, 1 : 1 + h, 1 : 1 + w, :])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_global_avg_pool_matches_copy(self, dtype):
+        gap = GlobalAvgPool()
+        out = gap.forward(rand((2, 3, 5, 4), seed=25).astype(dtype))
+        dy = rand(out.shape, seed=26).astype(dtype)
+        expected = np.broadcast_to(dy / 15, (2, 3, 5, 4)).astype(dy.dtype)
+        dx = gap.backward(dy)
+        assert dx.dtype == dtype
+        npt.assert_array_equal(dx, expected)
+
+
+class TestGeluLimits:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_infinities_without_warning(self, dtype):
+        gelu = GELU()
+        x = np.array([-np.inf, np.inf, np.nan, -1e30], dtype)
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            out = gelu.forward(x)
+            dx = gelu.backward(np.ones_like(x))
+        assert out.dtype == dtype and dx.dtype == dtype
+        assert out[0] == 0.0 and out[1] == np.inf and np.isnan(out[2]) and out[3] == 0.0
+        assert dx[0] == 0.0 and dx[1] == 1.0 and np.isnan(dx[2]) and dx[3] == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_finite_values_are_x_times_phi(self, dtype):
+        # more than two 16K chunks, so the per-chunk product covers chunk edges
+        x = (rand((40_001,), seed=27) * 6.0).astype(dtype)
+        gelu = GELU()
+        out = gelu.forward(x)
+        npt.assert_array_equal(out, x * gelu._phi)
+        dy = rand(x.shape, seed=28).astype(dtype)
+        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi).astype(dtype)
+        npt.assert_array_equal(gelu.backward(dy), dy * (gelu._phi + x * pdf))
