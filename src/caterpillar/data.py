@@ -49,7 +49,12 @@ _CIFAR_CLASSES = 10
 
 
 def load_cifar10_binary(paths: list[str] | str) -> LabeledImages:
-    """Parse one or more CIFAR-10 binary batch files."""
+    """Parse one or more CIFAR-10 binary batch files.
+
+    The format has no header and no record count: a file cut exactly at a
+    record boundary loads as a shorter batch.  Only a size that is not a
+    positive multiple of the 3073-byte record is rejected.
+    """
     if isinstance(paths, str):
         paths = [paths]
     images, labels = [], []

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .layers import Linear, Module, Parameter, trunc_normal_init
-from .tensor import Rng, concat_channels, ensure_nhwc
+from .tensor import Rng, ensure_nhwc
 
 
 class Smlp(Module):
@@ -41,37 +41,39 @@ class Smlp(Module):
                 f"smlp: bound to (H,W,C)=({self.h},{self.w},{self.c}), got {(h, w, c)}"
             )
         self._x = x
-        # row mix: out[n,i,v,c] = sum_j x[n,i,j,c] * row_w[j,v], done as a
-        # batched matmul on the channel-transposed view (BLAS beats einsum here)
-        row = (x.transpose(0, 1, 3, 2) @ self.row_w.value).transpose(0, 1, 3, 2)
+        # Both mixes contract an axis before the channels, so each is a matmul
+        # with the mixing matrix on the left and needs no transposed copy:
+        # row[n,i,v,:] = sum_j row_w[j,v] x[n,i,j,:], col[n,k,j,:] = sum_i col_w[i,k] x[n,i,j,:].
+        cat = np.empty((n, h, w, 3 * c), np.result_type(x, self.row_w.value))
+        row = cat[..., :c].reshape(n * h, w, c)  # a view, since cat is contiguous
+        np.matmul(self.row_w.value.T, x.reshape(n * h, w, c), out=row)
         if self.row_b is not None:
-            row = row + self.row_b.value[None, None, :, None]
-        col = (x.transpose(0, 2, 3, 1) @ self.col_w.value).transpose(0, 3, 1, 2)
+            row += self.row_b.value[:, None]
+        col = np.matmul(self.col_w.value.T, x.reshape(n, h, w * c))
         if self.col_b is not None:
-            col = col + self.col_b.value[None, :, None, None]
-        return self.fuse(concat_channels([row, col, x]), training)
+            col += self.col_b.value[:, None]
+        cat[..., c : 2 * c] = col.reshape(n, h, w, c)
+        cat[..., 2 * c :] = x
+        return self.fuse(cat, training)
 
     def backward(self, dy):
         x = self._x
-        c = self.c
+        n, h, w, c = x.shape
         dcat = self.fuse.backward(dy)
-        drow = dcat[..., :c]
-        dcol = dcat[..., c : 2 * c]
-        did = dcat[..., 2 * c :]
-        x_rt = x.transpose(0, 1, 3, 2)  # (N, H, C, W)
-        drow_t = drow.transpose(0, 1, 3, 2)  # (N, H, C, V)
-        self.row_w.grad += x_rt.reshape(-1, self.w).T @ drow_t.reshape(-1, self.w)
+        drow = dcat[..., :c].reshape(n * h, w, c)
+        dcol = np.ascontiguousarray(dcat[..., c : 2 * c]).reshape(n, h, w * c)
+        x_row, x_col = x.reshape(n * h, w, c), x.reshape(n, h, w * c)
+        self.row_w.grad += np.matmul(x_row, drow.transpose(0, 2, 1)).sum(axis=0)
         if self.row_b is not None:
-            self.row_b.grad += drow.sum(axis=(0, 1, 3))
-        x_ct = x.transpose(0, 2, 3, 1)  # (N, W, C, H)
-        dcol_t = dcol.transpose(0, 2, 3, 1)  # (N, W, C, K)
-        self.col_w.grad += x_ct.reshape(-1, self.h).T @ dcol_t.reshape(-1, self.h)
+            self.row_b.grad += drow.sum(axis=(0, 2))
+        self.col_w.grad += np.matmul(x_col, dcol.transpose(0, 2, 1)).sum(axis=0)
         if self.col_b is not None:
-            self.col_b.grad += dcol.sum(axis=(0, 2, 3))
-        dx = np.ascontiguousarray(did)
-        dx = dx + (drow_t @ self.row_w.value.T).transpose(0, 1, 3, 2)
-        dx = dx + (dcol_t @ self.col_w.value.T).transpose(0, 3, 1, 2)
-        return dx
+            self.col_b.grad += dcol.sum(axis=(0, 2))
+        dx = np.matmul(self.row_w.value, drow)
+        dx += dcat[..., 2 * c :].reshape(n * h, w, c)
+        dx = dx.reshape(n, h, w * c)
+        dx += np.matmul(self.col_w.value, dcol)
+        return dx.reshape(n, h, w, c)
 
     def macs(self, in_shape):
         p = int(np.prod(in_shape[:3]))

@@ -6,6 +6,7 @@ does the same arithmetic, within 1e-12 in float64 where only the order of
 operations changed.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from caterpillar.layers import (
     MaxPool2d,
     ReLU,
 )
+from caterpillar.smlp import Smlp
 from caterpillar.tensor import Rng, max_rel_error
 
 
@@ -305,3 +307,71 @@ class TestGeluLimits:
         dy = rand(x.shape, seed=28).astype(dtype)
         pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi).astype(dtype)
         npt.assert_array_equal(gelu.backward(dy), dy * (gelu._phi + x * pdf))
+
+
+class TestGeluTanhBound:
+    """float32 phi = 0.5 + 0.5 * tanh(x * P(x^2)) on x clipped at 6: within 3e-7 of exact."""
+
+    def test_dense_grid_and_every_float32_near_the_clip(self):
+        from scipy.special import erf
+
+        lo, hi = np.array([5.99, 6.01], np.float32).view(np.int32)
+        edge = np.arange(lo, hi + 1, dtype=np.int32).view(np.float32)
+        x = np.concatenate([np.linspace(-12, 12, 2_400_001, dtype=np.float32), edge, -edge])
+        gelu = GELU()
+        gelu.forward(x)
+        exact = 0.5 * (1.0 + erf(x.astype(np.float64) / math.sqrt(2.0)))
+        assert np.abs(gelu._phi.astype(np.float64) - exact).max() <= 3e-7
+        beyond = np.abs(x) >= 6
+        npt.assert_array_equal(gelu._phi[beyond], (x[beyond] > 0).astype(np.float32))
+
+
+def smlp_transposed_forward(layer, x):
+    """The earlier Smlp.forward: mixes on channel-transposed views, then a concatenate."""
+    row = (x.transpose(0, 1, 3, 2) @ layer.row_w.value).transpose(0, 1, 3, 2)
+    if layer.row_b is not None:
+        row = row + layer.row_b.value[None, None, :, None]
+    col = (x.transpose(0, 2, 3, 1) @ layer.col_w.value).transpose(0, 3, 1, 2)
+    if layer.col_b is not None:
+        col = col + layer.col_b.value[None, :, None, None]
+    out = np.concatenate([row, col, x], axis=-1) @ layer.fuse.w.value
+    return out + layer.fuse.b.value if layer.fuse.b is not None else out
+
+
+def smlp_transposed_backward(layer, x, dy):
+    """The earlier Smlp.backward: (d row_w, d row_b, d col_w, d col_b, dx)."""
+    c = layer.c
+    dcat = dy @ layer.fuse.w.value.T
+    drow, dcol, did = dcat[..., :c], dcat[..., c : 2 * c], dcat[..., 2 * c :]
+    drow_t = drow.transpose(0, 1, 3, 2)
+    d_row_w = x.transpose(0, 1, 3, 2).reshape(-1, layer.w).T @ drow_t.reshape(-1, layer.w)
+    dcol_t = dcol.transpose(0, 2, 3, 1)
+    d_col_w = x.transpose(0, 2, 3, 1).reshape(-1, layer.h).T @ dcol_t.reshape(-1, layer.h)
+    dx = did + (drow_t @ layer.row_w.value.T).transpose(0, 1, 3, 2)
+    dx = dx + (dcol_t @ layer.col_w.value.T).transpose(0, 3, 1, 2)
+    return d_row_w, drow.sum(axis=(0, 1, 3)), d_col_w, dcol.sum(axis=(0, 2, 3)), dx
+
+
+class TestSmlpPin:
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_matches_transposed_matmuls(self, bias, layout):
+        h, w, c = 5, 4, 3
+        layer = Smlp(h, w, c, bias=bias, rng=Rng(29))
+        if bias:
+            for k, p in enumerate((layer.row_b, layer.col_b, layer.fuse.b)):
+                p.value = rand(p.value.shape, seed=30 + k)
+        x = rand((2, h, w, c), seed=33)
+        if layout == "transposed":
+            x = rand((2, w, h, c), seed=33).transpose(0, 2, 1, 3)
+        close(layer.forward(x), smlp_transposed_forward(layer, x))
+
+        dy = rand((2, h, w, c), seed=34)
+        dx = layer.backward(dy)
+        d_row_w, d_row_b, d_col_w, d_col_b, dx_ref = smlp_transposed_backward(layer, x, dy)
+        close(dx, dx_ref)
+        close(layer.row_w.grad, d_row_w)
+        close(layer.col_w.grad, d_col_w)
+        if bias:
+            close(layer.row_b.grad, d_row_b)
+            close(layer.col_b.grad, d_col_b)

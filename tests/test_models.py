@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -154,6 +156,39 @@ class TestBuildAndForward:
         assert "stage1.block1.spc.fuse.w" in names
         assert "stage2.downsample.w" in names
         assert "head.fc.b" in names
+
+
+class TestConcurrentEval:
+    def test_two_threads_match_serial(self):
+        """Eval-mode forward on one shared model gives each caller its serial output.
+
+        Every layer still writes its cache for a possible backward, so a layer
+        that read its own cache back inside forward would mix up the callers.
+        """
+        model = build_caterpillar(MICRO, seed=3)
+        inputs = [rand((4, 16, 16, 3), seed=k) for k in (1, 2)]
+        serial = [model.forward(x, training=False) for x in inputs]
+        results = [[], []]
+
+        def run(k):
+            for _ in range(100):
+                results[k].append(model.forward(inputs[k], training=False))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in (0, 1):
+            assert len(results[k]) == 100
+            for out in results[k]:
+                npt.assert_array_equal(out, serial[k])
 
 
 def _held_modules(module):
