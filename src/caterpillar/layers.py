@@ -176,7 +176,7 @@ class Linear(Module):
         flat_dy = dy.reshape(-1, self.cout)
         self.w.grad += flat_x.T @ flat_dy
         if self.b is not None:
-            self.b.grad += flat_dy.sum(axis=0)
+            self.b.grad += _channel_sum(flat_dy, self.cout)
         return (flat_dy @ self.w.value.T).reshape(x.shape)
 
     def out_shape(self, in_shape):
@@ -520,12 +520,22 @@ class Conv2d(Module):
         self.w.grad += (self._patches(xp, ho, wo).T @ flat_dy).reshape(self.w.grad.shape)
         if self.b is not None:
             self.b.grad += flat_dy.sum(axis=0)
-        dpatch = flat_dy @ self.w.value.reshape(-1, self.cout).T
-        dpatch = dpatch.reshape(-1, ho, wo, k, k, self.cin)
-        dxp = np.zeros_like(xp)
-        for di in range(k):
-            for dj in range(k):
-                dxp[:, di : di + s * ho : s, dj : dj + s * wo : s, :] += dpatch[:, :, :, di, dj]
+        w2d = self.w.value.reshape(-1, self.cout)
+        if s < k:
+            # Overlapping windows: scatter-add channel-first, so each tap's
+            # inner loop runs along a row of Wo pillars rather than cin channels.
+            dpatch = (w2d @ flat_dy.T).reshape(k, k, self.cin, -1, ho, wo)
+            dxp = np.zeros((self.cin,) + xp.shape[:3], dtype=xp.dtype)
+            for di in range(k):
+                for dj in range(k):
+                    dxp[:, :, di : di + s * ho : s, dj : dj + s * wo : s] += dpatch[di, dj]
+            dxp = dxp.transpose(1, 2, 3, 0)
+        else:
+            dpatch = (flat_dy @ w2d.T).reshape(-1, ho, wo, k, k, self.cin)
+            dxp = np.zeros_like(xp)
+            for di in range(k):
+                for dj in range(k):
+                    dxp[:, di : di + s * ho : s, dj : dj + s * wo : s, :] += dpatch[:, :, :, di, dj]
         if pad:
             return dxp[:, pad:-pad, pad:-pad, :]
         return dxp
@@ -596,18 +606,23 @@ class AvgPool2d(Module):
         if ho < 1 or wo < 1:
             raise ShapeError(f"avgpool: window {k} larger than input {(h, w)}")
         self._cache = (x.shape, ho, wo)
-        trimmed = x[:, : ho * k, : wo * k, :]
-        return trimmed.reshape(n, ho, k, wo, k, c).mean(axis=(2, 4))
+        out = x[:, : ho * k : k, : wo * k : k].copy()
+        for t in range(1, k * k):
+            i, j = divmod(t, k)
+            out += x[:, i : ho * k : k, j : wo * k : k]
+        out /= k * k
+        return out
 
     def backward(self, dy):
-        in_shape, ho, wo = self._cache
+        (n, h, w, c), ho, wo = self._cache
         k = self.k
-        dx = np.zeros(in_shape, dtype=dy.dtype)
-        spread = np.broadcast_to(
-            dy[:, :, None, :, None, :] / (k * k),
-            (in_shape[0], ho, k, wo, k, in_shape[3]),
-        )
-        dx[:, : ho * k, : wo * k, :] = spread.reshape(in_shape[0], ho * k, wo * k, in_shape[3])
+        dx = np.empty((n, h, w, c), dtype=dy.dtype)
+        # Splitting axes of the trimmed slice is a view even on odd extents;
+        # copy=False raises rather than write into a copy.
+        cells = dx[:, : ho * k, : wo * k].reshape(n, ho, k, wo, k, c, copy=False)
+        cells[...] = (dy / (k * k))[:, :, None, :, None]
+        dx[:, ho * k :] = 0
+        dx[:, : ho * k, wo * k :] = 0
         return dx
 
     def out_shape(self, in_shape):

@@ -30,8 +30,10 @@ channel slice of one buffer.  That is exact because a per-pillar linear map
 commutes with every shift and refill above (refilling only copies pillars),
 except that a zero-mode gap pillar reduces to the reduction's bias, so the
 gaps are filled with that bias.  The backward walks the same pairs in
-reverse, adding the gradient of each output slice into its source slice,
-and adds the gap gradients to the bias gradient.
+reverse (`_write_unshifted`): it writes every reduction's unshifted output
+gradient into its channel slice of one buffer, makes one weight GEMM and
+one input GEMM over that buffer for all reductions together, and adds the
+gap gradients to the bias gradient.
 
 `pillars_shift` builds the neighboring maps from the same plan; it is the
 paper-level shift half.  `spc_oracle` is the independent reference that
@@ -51,7 +53,7 @@ from .errors import (
     ShiftRangeError,
     parse_int,
 )
-from .layers import Linear, Module
+from .layers import Linear, Module, _channel_sum
 from .tensor import Rng, ensure_nhwc
 
 DIRECTIONS = (
@@ -246,9 +248,23 @@ def _write_shifted(dst: np.ndarray, src: np.ndarray, plan, fill) -> None:
         dst[:, ro, co] = fill
 
 
-def _add_unshifted(dsrc: np.ndarray, dout: np.ndarray, plan) -> None:
-    """Adjoint of the plan's pairs: dsrc[src] += dout[out]; gaps drop out."""
-    for (ro, co), (rs, cs) in plan[0]:
+def _write_unshifted(dsrc: np.ndarray, dout: np.ndarray, plan, add: bool = False) -> None:
+    """Adjoint of `_write_shifted`: dsrc[src] = sum of dout[out] over the pairs; gaps drop out.
+
+    The first pair is the main run.  Without `add` it is assigned, the source
+    strips it does not read are zeroed, and only the refill pairs accumulate,
+    so dsrc needs no zero fill.  With `add` every pair accumulates into dsrc.
+    """
+    ((ro, co), (rs, cs)), *refills = plan[0]
+    if add:
+        dsrc[:, rs, cs] += dout[:, ro, co]
+    else:
+        dsrc[:, rs, cs] = dout[:, ro, co]
+        dsrc[:, : rs.start] = 0
+        dsrc[:, rs.stop :] = 0
+        dsrc[:, rs, : cs.start] = 0
+        dsrc[:, rs, cs.stop :] = 0
+    for (ro, co), (rs, cs) in refills:
         dsrc[:, rs, cs] += dout[:, ro, co]
 
 
@@ -328,7 +344,7 @@ class Spc(Module):
         x = ensure_nhwc(x, "spc input")
         if x.shape[3] != self.cin:
             raise ShapeError(f"spc: input channels {x.shape[3]} != cin {self.cin}")
-        self._in_shape = x.shape
+        self._x = x
         n, h, w, c = x.shape
         plans = self._plans(h, w)
         if self.cfg.reduces_channels:
@@ -349,25 +365,34 @@ class Spc(Module):
         return z if self.fuse is None else self.fuse(z, training)
 
     def backward(self, dy):
-        n, h, w, c = self._in_shape
+        x = self._x
+        _, h, w, c = x.shape
         plans = self._plans(h, w)
         dz = dy if self.fuse is None else self.fuse.backward(dy)
-        dx = np.zeros(self._in_shape, dtype=dy.dtype)
-        if self.cfg.reduces_channels:
-            width = c // self.cfg.n_directions
-            for k, (lin, plan) in enumerate(zip(self._reduce, plans)):
-                dzk = dz[..., k * width : (k + 1) * width]
-                dyk = np.zeros((n, h, w, width), dtype=dz.dtype)
-                _add_unshifted(dyk, dzk, plan)
-                if lin.b is not None:
-                    for ro, co in plan[1]:
-                        lin.b.grad += dzk[:, ro, co].sum(axis=(0, 1, 2))
-                dx += lin.backward(dyk)
+        if not self.cfg.reduces_channels:
+            concat = self.cfg.mixing == "concat_fuse"
+            dx = np.empty(x.shape, dtype=dz.dtype)
+            for k, plan in enumerate(plans):
+                _write_unshifted(dx, dz[..., k * c : (k + 1) * c] if concat else dz, plan, k > 0)
             return dx
-        concat = self.cfg.mixing == "concat_fuse"
-        for k, plan in enumerate(plans):
-            _add_unshifted(dx, dz[..., k * c : (k + 1) * c] if concat else dz, plan)
-        return dx
+        # Each reduction commutes with its shift, so all of them back-propagate
+        # through one unshifted buffer: one weight GEMM and one input GEMM.
+        width = c // self.cfg.n_directions
+        chans = [slice(k * width, (k + 1) * width) for k in range(self.cfg.n_directions)]
+        du = np.empty(dz.shape, dtype=dz.dtype)
+        for ch, plan in zip(chans, plans):
+            _write_unshifted(du[..., ch], dz[..., ch], plan)
+        flat_du = du.reshape(-1, c)
+        dw = x.reshape(-1, c).T @ flat_du
+        db = _channel_sum(du, c) if self._reduce[0].b is not None else None
+        for lin, ch, plan in zip(self._reduce, chans, plans):
+            lin.w.grad += dw[:, ch]
+            if lin.b is not None:
+                lin.b.grad += db[ch]
+                for ro, co in plan[1]:
+                    lin.b.grad += dz[:, ro, co, ch].sum(axis=(0, 1, 2))
+        w_all = np.concatenate([lin.w.value for lin in self._reduce], axis=1)
+        return (flat_du @ w_all.T).reshape(x.shape)
 
     def out_shape(self, in_shape):
         return tuple(in_shape[:3]) + (self.cout,)

@@ -15,10 +15,12 @@ import pytest
 
 from caterpillar.layers import (
     GELU,
+    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     GlobalAvgPool,
     LayerNorm,
+    Linear,
     MaxPool2d,
     ReLU,
 )
@@ -254,6 +256,64 @@ class TestConv2dPin:
         close(dx, dxp[:, pad : pad + x.shape[1], pad : pad + x.shape[2], :])
 
 
+class TestConv2dNonOverlappingPin:
+    """stride >= k (patch embedding and downsampling convs): the per-tap pillar-major scatter."""
+
+    @pytest.mark.parametrize("k, stride", [(2, 2), (3, 3), (2, 3)])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_matches_einsum(self, k, stride, layout):
+        conv = Conv2d(k, 5, 4, stride=stride, padding="valid", rng=Rng(35))
+        x = rand((2, 9, 8, 5), seed=36)
+        if layout == "transposed":
+            x = rand((2, 8, 9, 5), seed=36).transpose(0, 2, 1, 3)
+        xp, win, _ = conv_windows(conv, x)
+        out = conv.forward(x)
+        close(out, np.einsum("nhwcij,ijco->nhwo", win, conv.w.value))
+        dy = rand(out.shape, seed=37)
+        dx = conv.backward(dy)
+        close(conv.w.grad, np.einsum("nhwcij,nhwo->ijco", win, dy))
+        dwin = np.einsum("nhwo,ijco->nhwcij", dy, conv.w.value)
+        dxp = np.zeros_like(xp)
+        ho, wo = out.shape[1:3]
+        for i in range(k):
+            for j in range(k):
+                dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride, :] += dwin[..., i, j]
+        close(dx, dxp)
+
+
+class TestLinearBiasPin:
+    @pytest.mark.parametrize("shape", [(4, 8, 8, 3), (3, 5, 7, 8), (2, 1, 1, 33)])
+    def test_bias_grad_matches_column_sum(self, shape):
+        lin = Linear(shape[-1], 6, rng=Rng(38))
+        x = rand(shape, seed=39)
+        dy = rand(lin.forward(x).shape, seed=40)
+        lin.backward(dy)
+        close(lin.b.grad, dy.reshape(-1, 6).sum(axis=0))
+
+
+class TestAvgPoolPin:
+    """Strided-add forward and broadcast-write backward against the reshape-mean formula."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, k", [((2, 5, 7, 3), 2), ((2, 8, 6, 3), 2), ((1, 7, 8, 2), 3)])
+    def test_matches_reshape_mean(self, dtype, shape, k):
+        n, h, w, c = shape
+        ho, wo = h // k, w // k
+        x = rand(shape, seed=41).astype(dtype)
+        pool = AvgPool2d(k)
+        out = pool.forward(x)
+        expected = x[:, : ho * k, : wo * k].reshape(n, ho, k, wo, k, c).mean(axis=(2, 4))
+        assert out.dtype == dtype
+        npt.assert_allclose(out, expected, rtol=1e-6 if dtype == np.float32 else 1e-12)
+        dy = rand(out.shape, seed=42).astype(dtype)
+        spread = np.broadcast_to(dy[:, :, None, :, None, :] / (k * k), (n, ho, k, wo, k, c))
+        expected = np.zeros(shape, dtype)
+        expected[:, : ho * k, : wo * k] = spread.reshape(n, ho * k, wo * k, c)
+        dx = pool.backward(dy)
+        assert dx.dtype == dtype
+        npt.assert_array_equal(dx, expected)
+
+
 class TestPoolBackwardPin:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_maxpool_matches_where(self, dtype):
@@ -299,7 +359,7 @@ class TestGeluLimits:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_finite_values_are_x_times_phi(self, dtype):
-        # more than two 16K chunks, so the per-chunk product covers chunk edges
+        # more than one 32K chunk, so the per-chunk product covers a chunk edge
         x = (rand((40_001,), seed=27) * 6.0).astype(dtype)
         gelu = GELU()
         out = gelu.forward(x)

@@ -12,6 +12,7 @@ from caterpillar.spc import (
     PADDING_MODES,
     Spc,
     SpcConfig,
+    _shift_plan,
     pillars_shift,
     spc_oracle,
     spc_param_count,
@@ -383,6 +384,77 @@ class TestProperties:
         lhs = float(np.sum(layer.forward(x) * g))
         rhs = float(np.sum(x * layer.backward(g)))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+def old_backward(layer, x, dy):
+    """The earlier Spc.backward after one forward of x: one zero-filled buffer and
+    one Linear backward per reduction, with every unshift accumulated into zeros.
+
+    Returns dx and the name -> gradient of every parameter, starting from zero.
+    """
+    n, h, w, c = x.shape
+    cfg = layer.cfg
+    plans = [_shift_plan(d, h, w, cfg.steps, cfg.padding) for d in cfg.directions]
+    grads = {name: np.zeros_like(p.value) for name, p in layer.named_parameters()}
+    dz = dy
+    if layer.fuse is not None:
+        z = layer.fuse._x.reshape(-1, layer.fuse.cin)
+        grads["fuse.w"] += z.T @ dy.reshape(-1, layer.cout)
+        if layer.fuse.b is not None:
+            grads["fuse.b"] += dy.reshape(-1, layer.cout).sum(axis=0)
+        dz = (dy.reshape(-1, layer.cout) @ layer.fuse.w.value.T).reshape(layer.fuse._x.shape)
+
+    def add_unshifted(dsrc, dout, plan):
+        for (ro, co), (rs, cs) in plan[0]:
+            dsrc[:, rs, cs] += dout[:, ro, co]
+
+    dx = np.zeros(x.shape)
+    if not cfg.reduces_channels:
+        concat = cfg.mixing == "concat_fuse"
+        for k, plan in enumerate(plans):
+            add_unshifted(dx, dz[..., k * c : (k + 1) * c] if concat else dz, plan)
+        return dx, grads
+    width = c // cfg.n_directions
+    for k, (d, lin, plan) in enumerate(zip(cfg.directions, layer._reduce, plans)):
+        name = f"reduce_{d.replace('-', '_')}"
+        dzk = dz[..., k * width : (k + 1) * width]
+        dyk = np.zeros((n, h, w, width))
+        add_unshifted(dyk, dzk, plan)
+        flat = dyk.reshape(-1, width)
+        grads[f"{name}.w"] += x.reshape(-1, c).T @ flat
+        if lin.b is not None:
+            for ro, co in plan[1]:
+                grads[f"{name}.b"] += dzk[:, ro, co].sum(axis=(0, 1, 2))
+            grads[f"{name}.b"] += flat.sum(axis=0)
+        dx += (flat @ lin.w.value.T).reshape(x.shape)
+    return dx, grads
+
+
+def _check_backward_matches_old(case, bias):
+    cfg, cout, shape, seed = case
+    assume(_range_errors(cfg, shape[1], shape[2]) == (False, False))
+    layer = Spc(shape[3], cout, cfg=cfg, bias=bias, rng=Rng(seed))
+    x = rand(shape, seed + 1)
+    dy = rand(layer.forward(x).shape, seed + 2)
+    dx_ref, grads_ref = old_backward(layer, x, dy)
+    dx = layer.backward(dy)
+    assert dx.shape == x.shape and max_rel_error(dx, dx_ref) < 1e-12
+    for name, p in layer.named_parameters():
+        assert max_rel_error(p.grad, grads_ref[name]) < 1e-12, name
+
+
+class TestBackwardPin:
+    """Spc.backward against the per-reduction backward it replaced, in float64."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(spc_cases(mixing=st.sampled_from(("reduce_concat_fuse", "reduce_concat"))), st.booleans())
+    def test_reduce_mixings_match_old_path(self, case, bias):
+        _check_backward_matches_old(case, bias)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(spc_cases(mixing=st.sampled_from(("concat_fuse", "sum_fuse", "sum"))), st.booleans())
+    def test_other_mixings_match_old_path(self, case, bias):
+        _check_backward_matches_old(case, bias)
 
 
 _SPC_VALUES = ["4", "5", "7", "²", "٤", "up+down", "up+up", "center", "", "-1", "0", "2",
