@@ -520,22 +520,12 @@ class Conv2d(Module):
         self.w.grad += (self._patches(xp, ho, wo).T @ flat_dy).reshape(self.w.grad.shape)
         if self.b is not None:
             self.b.grad += flat_dy.sum(axis=0)
-        w2d = self.w.value.reshape(-1, self.cout)
-        if s < k:
-            # Overlapping windows: scatter-add channel-first, so each tap's
-            # inner loop runs along a row of Wo pillars rather than cin channels.
-            dpatch = (w2d @ flat_dy.T).reshape(k, k, self.cin, -1, ho, wo)
-            dxp = np.zeros((self.cin,) + xp.shape[:3], dtype=xp.dtype)
-            for di in range(k):
-                for dj in range(k):
-                    dxp[:, :, di : di + s * ho : s, dj : dj + s * wo : s] += dpatch[di, dj]
-            dxp = dxp.transpose(1, 2, 3, 0)
-        else:
-            dpatch = (flat_dy @ w2d.T).reshape(-1, ho, wo, k, k, self.cin)
-            dxp = np.zeros_like(xp)
-            for di in range(k):
-                for dj in range(k):
-                    dxp[:, di : di + s * ho : s, dj : dj + s * wo : s, :] += dpatch[:, :, :, di, dj]
+        dpatch = flat_dy @ self.w.value.reshape(-1, self.cout).T
+        dpatch = dpatch.reshape(-1, ho, wo, k, k, self.cin)
+        dxp = np.zeros_like(xp)
+        for di in range(k):
+            for dj in range(k):
+                dxp[:, di : di + s * ho : s, dj : dj + s * wo : s, :] += dpatch[:, :, :, di, dj]
         if pad:
             return dxp[:, pad:-pad, pad:-pad, :]
         return dxp
@@ -617,9 +607,9 @@ class AvgPool2d(Module):
         (n, h, w, c), ho, wo = self._cache
         k = self.k
         dx = np.empty((n, h, w, c), dtype=dy.dtype)
-        # Splitting axes of the trimmed slice is a view even on odd extents;
-        # copy=False raises rather than write into a copy.
-        cells = dx[:, : ho * k, : wo * k].reshape(n, ho, k, wo, k, c, copy=False)
+        # Splitting the H and W axes of the trimmed slice of a C-contiguous
+        # array is always a view, even on odd extents, so the write lands in dx.
+        cells = dx[:, : ho * k, : wo * k].reshape(n, ho, k, wo, k, c)
         cells[...] = (dy / (k * k))[:, :, None, :, None]
         dx[:, ho * k :] = 0
         dx[:, : ho * k, wo * k :] = 0

@@ -257,7 +257,7 @@ class TestConv2dPin:
 
 
 class TestConv2dNonOverlappingPin:
-    """stride >= k (patch embedding and downsampling convs): the per-tap pillar-major scatter."""
+    """stride >= k with k > 1 (patch embedding and downsampling convs), which `TestConv2dPin` does not reach."""
 
     @pytest.mark.parametrize("k, stride", [(2, 2), (3, 3), (2, 3)])
     @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
