@@ -54,7 +54,7 @@ from .spc import (
     spc_oracle,
     spc_param_count,
 )
-from .tensor import Rng, concat_channels, max_rel_error
+from .tensor import Rng, max_rel_error
 from .train import AdamW, TrainConfig, adamw_step, ce_label_smoothing, cosine_lr, evaluate, train_loop
 
 __version__ = "0.1.0"

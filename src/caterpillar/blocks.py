@@ -36,7 +36,7 @@ from .layers import (
 )
 from .smlp import Smlp
 from .spc import Spc, SpcConfig
-from .tensor import Rng, concat_channels
+from .tensor import Rng
 
 LOCAL_MIXERS = ("spc", "dwconv", "identity")
 COMBINE_STRATEGIES = ("LG", "GL", "two_residual", "sum", "weighted_sum", "concat_reduce")
@@ -121,7 +121,7 @@ class MixerBlock(Module):
         if combine == "weighted_sum":
             self._branches = (lo, gl)
             return x + self.local_scale.value * lo + self.global_scale.value * gl
-        return x + self.merge(concat_channels([lo, gl]), training)
+        return x + self.merge(np.concatenate((lo, gl), axis=3), training)
 
     def _token_mix_backward(self, dy):
         combine = self.cfg.combine

@@ -18,7 +18,7 @@ import numpy as np
 
 from .blocks import COMBINE_STRATEGIES, BlockConfig, MixerBlock
 from .data import LabeledImages, load_cifar10_binary, load_idx, load_raw_blob, synth_blobs
-from .errors import CaterpillarError, ConfigError, parse_int
+from .errors import CaterpillarError, ConfigError, parse_int, parse_ints
 from .layers import (
     FFN,
     GELU,
@@ -78,10 +78,6 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spc-config", help="e.g. 'directions=4;steps=1;padding=zero;mixing=...'")
 
 
-def _int_list(text: str, flag: str) -> tuple[int, ...]:
-    return tuple(parse_int(v, flag) for v in text.split(","))
-
-
 # Model flag (argparse dest) -> the spec key it sets; the family's key table
 # names the section.  family comes first: it picks the table.
 _MODEL_FLAGS = {
@@ -139,7 +135,7 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
 
 def _data_from_args(args) -> LabeledImages:
     if args.data_synth:
-        fields = _int_list(args.data_synth, "--data-synth")
+        fields = parse_ints(args.data_synth, "--data-synth")
         if len(fields) != 6:
             raise CaterpillarError(
                 f"--data-synth: expected seed,N,H,W,C,K, got {args.data_synth!r}"
@@ -148,8 +144,12 @@ def _data_from_args(args) -> LabeledImages:
     if args.data_cifar:
         return load_cifar10_binary(args.data_cifar.split(","))
     if args.data_idx:
-        img, lab = args.data_idx.split(",")
-        return load_idx(img, lab)
+        paths = args.data_idx.split(",")
+        if len(paths) != 2:
+            raise CaterpillarError(
+                f"--data-idx: expected images_file,labels_file, got {args.data_idx!r}"
+            )
+        return load_idx(*paths)
     if args.data_raw:
         return load_raw_blob(args.data_raw)
     raise CaterpillarError("no dataset given: use --data-synth/--data-cifar/--data-idx/--data-raw")
@@ -281,6 +281,8 @@ def _gradcheck_cases(target: str, spc_override: str | None, seed: int):
 
 def run_gradcheck(target: str = "all", spc_override: str | None = None, trials: int = 1, seed: int = 0):
     """Run the finite-difference suite; returns (all_passed, rows)."""
+    if trials < 1:
+        raise ConfigError(f"gradcheck: trials must be >= 1, got {trials}")
     rows = []
     ok = True
     for name, cfg_text, factory, shape, tol in _gradcheck_cases(target, spc_override, seed):
@@ -325,6 +327,11 @@ def _bench_target(op: str, channels: int, rng: Rng):
 
 
 def cmd_bench(args) -> int:
+    if min(args.reps, args.batch, args.hw, args.channels) < 1 or args.warmup < 0:
+        raise ConfigError(
+            f"bench: need reps, batch, hw, channels >= 1 and warmup >= 0, got reps {args.reps}, "
+            f"batch {args.batch}, hw {args.hw}, channels {args.channels}, warmup {args.warmup}"
+        )
     ops = ["spc", "conv3x3", "dwconv3x3"] if args.op == "all" else [args.op]
     dtype = np.float64 if args.dtype == "f64" else np.float32
     shape = (args.batch, args.hw, args.hw, args.channels)

@@ -192,6 +192,10 @@ def synth_blobs(
     Class templates are uniform in [0, 1]; sample i gets label i mod k and its
     class template plus N(0, sigma^2) noise, clipped back to [0, 1].
     """
+    if min(h, w, cin) < 1:
+        raise FormatError(f"synth: image dims must be >= 1, got {(h, w, cin)}")
+    if k < 1:
+        raise FormatError(f"synth: need at least one class, got {k}")
     if k > n:
         raise FormatError(f"synth: need at least one sample per class ({k} > {n})")
     rng = Rng(seed)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer-field parser."""
+"""Exception types shared across the package, and the integer-field parsers."""
 
 
 class CaterpillarError(Exception):
@@ -43,3 +43,8 @@ def parse_int(text, what: str) -> int:
         return int(text)
     except ValueError:
         raise ConfigError(f"{what}: expected an integer, got {text!r}") from None
+
+
+def parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers, each parsed by parse_int."""
+    return tuple(parse_int(v, what) for v in text.split(","))

@@ -29,7 +29,7 @@ from typing import ClassVar
 import numpy as np
 
 from .blocks import BlockConfig, MixerBlock, block_param_count
-from .errors import BuildError, ConfigError, FormatError, ShapeError, parse_int
+from .errors import BuildError, ConfigError, FormatError, ShapeError, parse_int, parse_ints
 from .layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -195,10 +195,6 @@ def _check_ints(value, name: str, n: int | None):
     return value
 
 
-def _decode_ints(text: str, what: str) -> tuple[int, ...]:
-    return tuple(parse_int(v, what) for v in text.split(","))
-
-
 def _decode_yes_no(text: str, what: str) -> bool:
     if text not in ("yes", "no"):
         raise ConfigError(f"{what}: expected yes or no, got {text!r}")
@@ -207,7 +203,7 @@ def _decode_yes_no(text: str, what: str) -> bool:
 
 # Value kinds: (encode value -> text, decode (text, what) -> value).
 _INT = (str, parse_int)
-_INTS = (lambda v: ",".join(str(d) for d in v), _decode_ints)
+_INTS = (lambda v: ",".join(str(d) for d in v), parse_ints)
 _STR = (str, lambda text, what: text)
 _YES_NO = (lambda v: "yes" if v else "no", _decode_yes_no)
 

@@ -24,16 +24,19 @@ map is a cyclic roll (circular).
 All of this lives in one shift plan (`_shift_plan`): per direction, the
 (output, source) slice pairs that cover every output pillar exactly once,
 plus the zero-mode gaps that have no source.  `Spc` never builds the
-neighboring maps.  It reduces first and shifts second: each reduction runs
-once on the unshifted input and its output is written, shifted, into its
-channel slice of one buffer.  That is exact because a per-pillar linear map
-commutes with every shift and refill above (refilling only copies pillars),
-except that a zero-mode gap pillar reduces to the reduction's bias, so the
-gaps are filled with that bias.  The backward walks the same pairs in
-reverse (`_write_unshifted`): it writes every reduction's unshifted output
-gradient into its channel slice of one buffer, makes one weight GEMM and
-one input GEMM over that buffer for all reductions together, and adds the
-gap gradients to the bias gradient.
+neighboring maps.  Every mixing way runs one loop over the directions that
+writes a source, shifted, into the mixed buffer (`_write_shifted`): into the
+direction's channel slice for the concatenations, or added into the one
+buffer for the sums.  The source is the input, or, for the reducing ways,
+the direction's reduction run once on the unshifted input: it reduces first
+and shifts second.  That is exact because a per-pillar linear map commutes
+with every shift and refill above (refilling only copies pillars), except
+that a zero-mode gap pillar reduces to the reduction's bias, so the gaps are
+filled with that bias.  The backward is the mirror loop (`_write_unshifted`)
+into one input-shaped buffer.  Without reductions that buffer is the input
+gradient.  With them it holds every reduction's unshifted output gradient
+in its channel slice, and one weight GEMM and one input GEMM over it serve
+all reductions together; the gap gradients go to the bias gradient.
 
 `pillars_shift` builds the neighboring maps from the same plan; it is the
 paper-level shift half.  `spc_oracle` is the independent reference that
@@ -135,6 +138,14 @@ class SpcConfig:
     @property
     def reduces_channels(self) -> bool:
         return self.mixing in ("reduce_concat_fuse", "reduce_concat")
+
+    @property
+    def sums_maps(self) -> bool:
+        return self.mixing in ("sum_fuse", "sum")
+
+    @property
+    def fuses(self) -> bool:
+        return self.mixing.endswith("_fuse")
 
     @classmethod
     def preset(cls, n: int, **overrides) -> "SpcConfig":
@@ -239,13 +250,21 @@ def _shift_plan(direction: str, h: int, w: int, steps: int, padding: str):
     return pairs, gaps
 
 
-def _write_shifted(dst: np.ndarray, src: np.ndarray, plan, fill) -> None:
-    """dst = src moved per `plan`, with zero-mode gaps set to `fill`."""
+def _write_shifted(dst: np.ndarray, src: np.ndarray, plan, fill, add: bool = False) -> None:
+    """dst = src moved per `plan`, with zero-mode gaps set to `fill`.
+
+    With `add` the moved pairs accumulate into dst and the gaps are left as
+    they are.
+    """
     pairs, gaps = plan
     for (ro, co), (rs, cs) in pairs:
-        dst[:, ro, co] = src[:, rs, cs]
-    for ro, co in gaps:
-        dst[:, ro, co] = fill
+        if add:
+            dst[:, ro, co] += src[:, rs, cs]
+        else:
+            dst[:, ro, co] = src[:, rs, cs]
+    if not add:
+        for ro, co in gaps:
+            dst[:, ro, co] = fill
 
 
 def _write_unshifted(dsrc: np.ndarray, dout: np.ndarray, plan, add: bool = False) -> None:
@@ -283,12 +302,24 @@ def pillars_shift(x: np.ndarray, cfg: SpcConfig) -> list[np.ndarray]:
 class Spc(Module):
     """The shift-and-concatenate local mixer as a differentiable layer.
 
-    Parameter layout follows the mixing way:
+    The mixing way decides whether each map is reduced, whether the maps are
+    concatenated or summed, and whether a fuse follows (SpcConfig's
+    reduces_channels, sums_maps and fuses).  The children are the Linears
+    reduce_<direction>, in direction order, then fuse, and the MACs are
+    theirs.  The parameters per mixing way:
       reduce_concat_fuse: one cin x (cin/N) reduction per direction + cin x cout fuse
       reduce_concat:      reductions only (cout must equal cin)
       concat_fuse:        single (N*cin) x cout fuse over the raw concatenation
       sum_fuse:           cin x cout fuse over the elementwise sum
       sum:                parameter-free elementwise sum (cout must equal cin)
+
+    Every way runs one loop over the directions.  The source of direction k,
+    its reduction's output or else the input itself, is written shifted into
+    channel slice k of the mixed buffer; the sums give every direction the
+    whole buffer and add into it.  The backward loop writes each slice of the
+    mixed gradient unshifted into one input-shaped buffer: one slice per
+    reduction side by side, or else all added into the whole buffer, which is
+    then the input gradient.
     """
 
     def __init__(
@@ -309,32 +340,24 @@ class Spc(Module):
                 f"spc: mixing {cfg.mixing!r} needs channels {cin} divisible by "
                 f"{nd} directions"
             )
-        if cfg.mixing in ("reduce_concat", "sum") and cout != cin:
+        if not cfg.fuses and cout != cin:
             raise ConfigError(
                 f"spc: mixing {cfg.mixing!r} keeps {cin} channels, cannot emit {cout}"
             )
+        width = cin // nd if cfg.reduces_channels else cin
         self._reduce = []
-        self.fuse = None
         if cfg.reduces_channels:
             for d in cfg.directions:
-                lin = Linear(cin, cin // nd, bias=bias, rng=rng)
+                lin = Linear(cin, width, bias=bias, rng=rng)
                 setattr(self, f"reduce_{d.replace('-', '_')}", lin)
                 self._reduce.append(lin)
-        if cfg.mixing == "reduce_concat_fuse":
-            self.fuse = Linear(cin, cout, bias=bias, rng=rng)
-        elif cfg.mixing == "concat_fuse":
-            self.fuse = Linear(nd * cin, cout, bias=bias, rng=rng)
-        elif cfg.mixing == "sum_fuse":
-            self.fuse = Linear(cin, cout, bias=bias, rng=rng)
-
-    def _children(self):
-        out = [
-            (f"reduce_{d.replace('-', '_')}", lin)
-            for d, lin in zip(self.cfg.directions, self._reduce)
+        self._mixed = width if cfg.sums_maps else nd * width
+        self.fuse = Linear(self._mixed, cout, bias=bias, rng=rng) if cfg.fuses else None
+        # direction k's channels in the mixed buffer
+        self._chans = [
+            slice(0, width) if cfg.sums_maps else slice(k * width, (k + 1) * width)
+            for k in range(nd)
         ]
-        if self.fuse is not None:
-            out.append(("fuse", self.fuse))
-        return out
 
     def _plans(self, h: int, w: int) -> list:
         cfg = self.cfg
@@ -345,23 +368,13 @@ class Spc(Module):
         if x.shape[3] != self.cin:
             raise ShapeError(f"spc: input channels {x.shape[3]} != cin {self.cin}")
         self._x = x
-        n, h, w, c = x.shape
-        plans = self._plans(h, w)
-        if self.cfg.reduces_channels:
-            width = c // self.cfg.n_directions
-            z = np.empty_like(x, dtype=np.result_type(x, self._reduce[0].w.value))
-            for k, (lin, plan) in enumerate(zip(self._reduce, plans)):
-                fill = 0.0 if lin.b is None else lin.b.value
-                _write_shifted(z[..., k * width : (k + 1) * width], lin(x, training), plan, fill)
-        elif self.cfg.mixing == "concat_fuse":
-            z = np.empty((n, h, w, len(plans) * c), dtype=x.dtype)
-            for k, plan in enumerate(plans):
-                _write_shifted(z[..., k * c : (k + 1) * c], x, plan, 0.0)
-        else:
-            z = np.zeros_like(x)
-            for plan in plans:
-                for (ro, co), (rs, cs) in plan[0]:
-                    z[:, ro, co] += x[:, rs, cs]
+        n, h, w, _ = x.shape
+        z = np.empty((n, h, w, self._mixed), np.result_type(x, *(r.w.value for r in self._reduce)))
+        for k, (plan, ch) in enumerate(zip(self._plans(h, w), self._chans)):
+            lin = self._reduce[k] if self._reduce else None
+            src = x if lin is None else lin(x, training)
+            fill = 0.0 if lin is None or lin.b is None else lin.b.value
+            _write_shifted(z[..., ch], src, plan, fill, self.cfg.sums_maps and k > 0)
         return z if self.fuse is None else self.fuse(z, training)
 
     def backward(self, dy):
@@ -369,23 +382,18 @@ class Spc(Module):
         _, h, w, c = x.shape
         plans = self._plans(h, w)
         dz = dy if self.fuse is None else self.fuse.backward(dy)
-        if not self.cfg.reduces_channels:
-            concat = self.cfg.mixing == "concat_fuse"
-            dx = np.empty(x.shape, dtype=dz.dtype)
-            for k, plan in enumerate(plans):
-                _write_unshifted(dx, dz[..., k * c : (k + 1) * c] if concat else dz, plan, k > 0)
-            return dx
+        du = np.empty(x.shape, dtype=dz.dtype)
+        shared = not self._reduce  # every direction's source is x itself
+        for k, (plan, ch) in enumerate(zip(plans, self._chans)):
+            _write_unshifted(du if shared else du[..., ch], dz[..., ch], plan, shared and k > 0)
+        if shared:
+            return du
         # Each reduction commutes with its shift, so all of them back-propagate
-        # through one unshifted buffer: one weight GEMM and one input GEMM.
-        width = c // self.cfg.n_directions
-        chans = [slice(k * width, (k + 1) * width) for k in range(self.cfg.n_directions)]
-        du = np.empty(dz.shape, dtype=dz.dtype)
-        for ch, plan in zip(chans, plans):
-            _write_unshifted(du[..., ch], dz[..., ch], plan)
+        # through du together: one weight GEMM and one input GEMM.
         flat_du = du.reshape(-1, c)
         dw = x.reshape(-1, c).T @ flat_du
         db = _channel_sum(du, c) if self._reduce[0].b is not None else None
-        for lin, ch, plan in zip(self._reduce, chans, plans):
+        for lin, ch, plan in zip(self._reduce, self._chans, plans):
             lin.w.grad += dw[:, ch]
             if lin.b is not None:
                 lin.b.grad += db[ch]
@@ -398,17 +406,7 @@ class Spc(Module):
         return tuple(in_shape[:3]) + (self.cout,)
 
     def macs(self, in_shape):
-        p = int(np.prod(in_shape[:3]))
-        mixing = self.cfg.mixing
-        if mixing == "reduce_concat_fuse":
-            return p * self.cin * self.cin + p * self.cin * self.cout
-        if mixing == "reduce_concat":
-            return p * self.cin * self.cin
-        if mixing == "concat_fuse":
-            return p * self.cfg.n_directions * self.cin * self.cout
-        if mixing == "sum_fuse":
-            return p * self.cin * self.cout
-        return 0
+        return sum(lin.macs(in_shape) for _, lin in self._children())
 
 
 def spc_param_count(cin: int, cout: int, cfg: SpcConfig, bias: bool = True) -> int:

@@ -3,9 +3,8 @@
 Every feature map in this package is a contiguous numpy array of shape
 (N, H, W, C) in row-major order, dtype float32 or float64.  A "pillar" is the
 C-vector at one spatial position.  The helpers here are the only primitives
-the rest of the package builds on: input validation, channel concatenation,
-a relative-error metric, and a counter-based RNG whose stream is identical on
-every platform.
+the rest of the package builds on: input validation, a relative-error
+metric, and a counter-based RNG whose stream is identical on every platform.
 """
 
 from __future__ import annotations
@@ -27,24 +26,6 @@ def ensure_nhwc(x: np.ndarray, name: str = "tensor") -> np.ndarray:
     if x.dtype not in FLOAT_DTYPES:
         raise ShapeError(f"{name}: dtype must be float32/float64, got {x.dtype}")
     return x
-
-
-def concat_channels(parts: list[np.ndarray]) -> np.ndarray:
-    """Concatenate along the channel axis; part k keeps its position order."""
-    if not parts:
-        raise ShapeError("concat_channels: empty part list")
-    parts = [ensure_nhwc(p, f"concat part {k}") for k, p in enumerate(parts)]
-    lead = parts[0].shape[:3]
-    for k, p in enumerate(parts[1:], start=1):
-        if p.shape[:3] != lead:
-            raise ShapeError(
-                f"concat_channels: part {k} spatial dims {p.shape[:3]} != part 0 {lead}"
-            )
-        if p.dtype != parts[0].dtype:
-            raise ShapeError(f"concat_channels: part {k} dtype {p.dtype} != {parts[0].dtype}")
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts, axis=3)
 
 
 def max_rel_error(a: np.ndarray, b: np.ndarray) -> float:

@@ -280,6 +280,44 @@ class TestTypedErrors:
             assert "--data-synth" in err
 
     @pytest.mark.parametrize(
+        "synth, needle",
+        [("0,4,16,16,3,0", "class"), ("0,4,16,16,3,-3", "class"), ("0,4,-1,-1,3,2", "dims")],
+    )
+    def test_data_synth_out_of_range(self, capsys, tmp_path, synth, needle):
+        ckpt = _micro_checkpoint(tmp_path / "m.ckpt")
+        code, out, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt), "--data-synth", synth)
+        assert_one_error(code, out, err)
+        assert needle in err
+
+    @pytest.mark.parametrize("paths", ["onlyone", "a,b,c"])
+    def test_bad_data_idx(self, capsys, tmp_path, paths):
+        ckpt = _micro_checkpoint(tmp_path / "m.ckpt")
+        code, out, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt), "--data-idx", paths)
+        assert_one_error(code, out, err)
+        assert "--data-idx" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_gradcheck_without_trials(self, capsys, trials):
+        code, out, err = run_cli(capsys, "gradcheck", "--target", "spc", "--trials", trials)
+        assert_one_error(code, out, err)
+        assert "trials" in err and "passed" not in out
+
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [
+            (("--reps", "0"), "reps"),
+            (("--reps", "-1"), "reps"),
+            (("--warmup", "-1"), "warmup"),
+            (("--hw", "-2"), "hw"),
+            (("--channels", "-4"), "channels"),
+        ],
+    )
+    def test_bench_out_of_range(self, capsys, flags, needle):
+        code, out, err = run_cli(capsys, "bench", "--op", "spc", "--hw", "4", *flags)
+        assert_one_error(code, out, err)
+        assert needle in err and "images_per_s" not in out
+
+    @pytest.mark.parametrize(
         "pattern, repl, needle",
         [
             (rb"\nDATA \d+\n", b"\nDATA zz\n", "DATA"),

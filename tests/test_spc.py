@@ -200,6 +200,23 @@ class TestSpcLayer:
             enumerated = sum(p.value.size for p in layer.parameters())
             assert enumerated == spc_param_count(8, 8, cfg), mixing
 
+    @pytest.mark.parametrize("nd", sorted(DIRECTION_PRESETS))
+    @pytest.mark.parametrize("mixing", MIXING_WAYS)
+    def test_macs_closed_form(self, nd, mixing):
+        # p = N*H*W pillars, D = nd directions; cout != cin wherever a fuse allows it
+        cfg = SpcConfig.preset(nd, mixing=mixing)
+        cin = 2 * nd
+        cout = cin if mixing in ("reduce_concat", "sum") else cin + 3
+        p = 2 * 5 * 3
+        expected = {
+            "reduce_concat_fuse": p * cin * cin + p * cin * cout,
+            "reduce_concat": p * cin * cin,
+            "concat_fuse": p * nd * cin * cout,
+            "sum_fuse": p * cin * cout,
+            "sum": 0,
+        }[mixing]
+        assert Spc(cin, cout, cfg=cfg, rng=Rng(0)).macs((2, 5, 3, cin)) == expected
+
     def test_interior_receptive_field(self):
         # interior pillar output depends only on its 4-neighborhood
         layer = Spc(4, cfg=SpcConfig(), rng=Rng(7))

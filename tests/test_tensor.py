@@ -4,7 +4,7 @@ import pytest
 
 from caterpillar.errors import ShapeError
 from caterpillar.layers import GlobalAvgPool, Linear
-from caterpillar.tensor import Rng, concat_channels, max_rel_error
+from caterpillar.tensor import Rng, max_rel_error
 
 # Frozen reference stream: SplitMix64 outputs 1..10 for seed 42, checked
 # against an independent scalar implementation of the published algorithm.
@@ -88,30 +88,6 @@ class TestProjectChannels:
         snap = x.copy()
         linear(np.eye(2), np.ones(2)).forward(x)
         npt.assert_array_equal(x, snap)
-
-
-class TestConcatChannels:
-    def test_two_scalars(self):
-        a = np.full((1, 1, 1, 1), 5.0)
-        b = np.full((1, 1, 1, 1), 7.0)
-        out = concat_channels([a, b])
-        assert out.shape == (1, 1, 1, 2)
-        npt.assert_array_equal(out[0, 0, 0], (5.0, 7.0))
-
-    def test_single_part_identity(self):
-        a = Rng(0).normal(8).reshape(1, 2, 2, 2)
-        npt.assert_array_equal(concat_channels([a]), a)
-
-    def test_roundtrip_slices(self):
-        rng = Rng(5)
-        parts = [rng.normal(1 * 2 * 2 * 3).reshape(1, 2, 2, 3) for _ in range(4)]
-        out = concat_channels(parts)
-        for k, part in enumerate(parts):
-            npt.assert_array_equal(out[..., 3 * k : 3 * (k + 1)], part)
-
-    def test_mismatched_spatial_dims(self):
-        with pytest.raises(ShapeError, match="spatial"):
-            concat_channels([np.ones((1, 2, 2, 1)), np.ones((1, 3, 2, 1))])
 
 
 class TestGlobalAvgPool:
