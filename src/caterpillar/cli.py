@@ -327,11 +327,9 @@ def _bench_target(op: str, channels: int, rng: Rng):
 
 
 def cmd_bench(args) -> int:
-    if min(args.reps, args.batch, args.hw, args.channels) < 1 or args.warmup < 0:
-        raise ConfigError(
-            f"bench: need reps, batch, hw, channels >= 1 and warmup >= 0, got reps {args.reps}, "
-            f"batch {args.batch}, hw {args.hw}, channels {args.channels}, warmup {args.warmup}"
-        )
+    for flag, low in (("reps", 1), ("batch", 1), ("hw", 1), ("channels", 1), ("warmup", 0)):
+        if getattr(args, flag) < low:
+            raise ConfigError(f"bench: --{flag} must be >= {low}, got {getattr(args, flag)}")
     ops = ["spc", "conv3x3", "dwconv3x3"] if args.op == "all" else [args.op]
     dtype = np.float64 if args.dtype == "f64" else np.float32
     shape = (args.batch, args.hw, args.hw, args.channels)

@@ -305,11 +305,11 @@ class TestTypedErrors:
     @pytest.mark.parametrize(
         "flags, needle",
         [
-            (("--reps", "0"), "reps"),
-            (("--reps", "-1"), "reps"),
-            (("--warmup", "-1"), "warmup"),
-            (("--hw", "-2"), "hw"),
-            (("--channels", "-4"), "channels"),
+            (("--reps", "0"), "--reps"),
+            (("--reps", "-1"), "--reps"),
+            (("--warmup", "-1"), "--warmup"),
+            (("--hw", "-2"), "--hw"),
+            (("--channels", "-4"), "--channels"),
         ],
     )
     def test_bench_out_of_range(self, capsys, flags, needle):
