@@ -145,14 +145,119 @@ class TestLocalMixers:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("combine", COMBINE_STRATEGIES)
-    def test_block_finite_diff(self, combine):
-        cfg = BlockConfig(combine=combine, ffn_ratio=1)
+    # Every mixer x combine wiring; the spc cases keep their bare combine ids.
+    @pytest.mark.parametrize(
+        "mixer, combine",
+        [(m, c) for m in LOCAL_MIXERS for c in COMBINE_STRATEGIES],
+        ids=[c if m == "spc" else f"{m}-{c}" for m in LOCAL_MIXERS for c in COMBINE_STRATEGIES],
+    )
+    def test_block_finite_diff(self, mixer, combine):
+        cfg = BlockConfig(local_mixer=mixer, combine=combine, ffn_ratio=1)
         block = MixerBlock(3, 3, 4, cfg, rng=Rng(14))
         err = finite_diff_check(block, rand((1, 3, 3, 4), 15))
-        assert err < 1e-4, (combine, err)
+        assert err < 1e-4, (mixer, combine, err)
 
     def test_smlpnet_style_block_finite_diff(self):
         cfg = BlockConfig(local_mixer="dwconv", ffn_ratio=1)
         block = MixerBlock(3, 3, 4, cfg, rng=Rng(16))
         assert finite_diff_check(block, rand((1, 3, 3, 4), 17)) < 1e-4
+
+
+class TestBlockMacs:
+    @pytest.mark.parametrize("combine", COMBINE_STRATEGIES)
+    @pytest.mark.parametrize("mixer", LOCAL_MIXERS)
+    def test_closed_form(self, combine, mixer):
+        n, h, w, c, r = 2, 5, 6, 8, 3
+        block = MixerBlock(h, w, c, BlockConfig(local_mixer=mixer, combine=combine, ffn_ratio=r))
+        p = n * h * w
+        local = {"spc": 2 * c * c, "dwconv": 9 * c, "identity": 0}[mixer]
+        smlp = c * (w + h) + 3 * c * c
+        token = {
+            "LG": c, "GL": c, "two_residual": c,  # bn2
+            "sum": 0, "weighted_sum": 2 * c, "concat_reduce": 2 * c * c,
+        }[combine]
+        ffn = c + 2 * r * c * c  # ln, fc1, fc2
+        assert block.macs((n, h, w, c)) == p * (c + local + smlp + token + ffn)
+
+
+def token_mix_forward(block, x, training, kept):
+    """The earlier hand-written token-mixing forward; kept gets weighted_sum's branches."""
+    combine = block.cfg.combine
+    if combine in ("LG", "GL"):
+        first, second = (block.local, block.smlp) if combine == "LG" else (block.smlp, block.local)
+        x1 = first(block.act1(block.bn1(x, training), training), training)
+        return second(block.act2(block.bn2(x1, training), training), training) + x
+    if combine == "two_residual":
+        y1 = block.local(block.act1(block.bn1(x, training), training), training) + x
+        return block.smlp(block.act2(block.bn2(y1, training), training), training) + y1
+    a = block.act1(block.bn1(x, training), training)
+    lo = block.local(a, training)
+    gl = block.smlp(a, training)
+    if combine == "sum":
+        return x + lo + gl
+    if combine == "weighted_sum":
+        kept[:] = lo, gl
+        return x + block.local_scale.value * lo + block.global_scale.value * gl
+    return x + block.merge(np.concatenate((lo, gl), axis=3), training)
+
+
+def token_mix_backward(block, dy, kept):
+    """The earlier hand-written token-mixing backward."""
+    combine = block.cfg.combine
+    if combine in ("LG", "GL"):
+        first, second = (block.local, block.smlp) if combine == "LG" else (block.smlp, block.local)
+        dx1 = block.bn2.backward(block.act2.backward(second.backward(dy)))
+        return dy + block.bn1.backward(block.act1.backward(first.backward(dx1)))
+    if combine == "two_residual":
+        dy1 = dy + block.bn2.backward(block.act2.backward(block.smlp.backward(dy)))
+        return dy1 + block.bn1.backward(block.act1.backward(block.local.backward(dy1)))
+    if combine == "sum":
+        da = block.local.backward(dy) + block.smlp.backward(dy)
+    elif combine == "weighted_sum":
+        lo, gl = kept
+        block.local_scale.grad += np.sum(dy * lo)
+        block.global_scale.grad += np.sum(dy * gl)
+        da = block.local.backward(block.local_scale.value * dy)
+        da += block.smlp.backward(block.global_scale.value * dy)
+    else:
+        dcat = block.merge.backward(dy)
+        da = block.local.backward(dcat[..., : block.c])
+        da += block.smlp.backward(np.ascontiguousarray(dcat[..., block.c :]))
+    return dy + block.bn1.backward(block.act1.backward(da))
+
+
+class TestBlockPin:
+    """MixerBlock against its earlier hand-written forward and backward, in float64.
+
+    Bit for bit, except that sum and weighted_sum may add the residual in
+    another order: within 1e-12 of max(1, |reference|) there.
+    """
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("combine", COMBINE_STRATEGIES)
+    @pytest.mark.parametrize("mixer", LOCAL_MIXERS)
+    def test_matches_hand_written_block(self, mixer, combine, training):
+        cfg = BlockConfig(local_mixer=mixer, combine=combine, ffn_ratio=2)
+        block, ref = (MixerBlock(4, 5, 8, cfg, rng=Rng(40)) for _ in range(2))
+        for k, (p, q) in enumerate(zip(block.parameters(), ref.parameters())):
+            p.value = rand(p.value.shape, seed=41 + k)
+            q.value = p.value.copy()
+        x, dz = rand((2, 4, 5, 8), 60), rand((2, 4, 5, 8), 61)
+
+        z = block.forward(x, training)
+        dx = block.backward(dz)
+        kept = []
+        y = token_mix_forward(ref, x, training, kept)
+        z_ref = ref.ffn(ref.ln(y, training), training) + y
+        dx_ref = token_mix_backward(ref, dz + ref.ln.backward(ref.ffn.backward(dz)), kept)
+
+        pairs = [("z", z, z_ref), ("dx", dx, dx_ref)]
+        pairs += [
+            (name, p.grad, q.grad)
+            for (name, p), q in zip(block.named_parameters(), ref.parameters())
+        ]
+        for name, got, want in pairs:
+            if combine in ("sum", "weighted_sum"):
+                assert max_rel_error(got, want) < 1e-12, name
+            else:
+                npt.assert_array_equal(got, want, err_msg=name)

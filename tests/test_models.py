@@ -28,7 +28,8 @@ from caterpillar.models import (
     parse_model_spec,
     save_checkpoint,
 )
-from caterpillar.layers import Linear, Module
+from caterpillar.models import _BasicBlock
+from caterpillar.layers import Linear, Module, finite_diff_check
 from caterpillar.spc import DIRECTION_PRESETS, MIXING_WAYS, PADDING_MODES, SpcConfig, split_pairs
 from caterpillar.tensor import Rng
 
@@ -326,6 +327,33 @@ class TestResnet:
         assert dx.shape == x.shape
 
 
+_SHORTCUTS = [(4, 4, 1), (4, 8, 1), (4, 8, 2)]  # identity, projection, stride 2
+
+
+class TestBasicBlock:
+    @pytest.mark.parametrize("cin, cout, stride", _SHORTCUTS)
+    @pytest.mark.parametrize("mixer", ["conv3x3", "spc"])
+    def test_finite_diff(self, mixer, cin, cout, stride):
+        # Seeds fixed away from ReLU kinks, where a central difference at
+        # eps 1e-5 straddles the kink and reads up to 0.4.
+        block = _BasicBlock(cin, cout, stride, ResnetSpec(local_mixer=mixer), Rng(1))
+        err = finite_diff_check(block, rand((2, 4, 4, cin), 20))
+        assert err < 1e-4, (mixer, cin, cout, stride, err)
+
+    @pytest.mark.parametrize("cin, cout, stride", _SHORTCUTS)
+    @pytest.mark.parametrize("mixer", ["conv3x3", "spc"])
+    def test_macs_closed_form(self, mixer, cin, cout, stride):
+        n, h = 2, 4
+        block = _BasicBlock(cin, cout, stride, ResnetSpec(local_mixer=mixer), Rng(1))
+        p_in, p_out = n * h * h, n * (h // stride) ** 2
+        if mixer == "conv3x3":
+            mix = p_out * 9 * (cin * cout + cout * cout)
+        else:  # spc: cin -> cin reductions, cin -> cout fuse, at the input resolution
+            mix = p_in * (cin * cin + cin * cout) + p_out * 2 * cout * cout
+        short = 0 if (cin, stride) == (cout, 1) else p_out * (cin * cout + cout)
+        assert block.macs((n, h, h, cin)) == mix + 2 * p_out * cout + short
+
+
 class TestSerialization:
     def test_spec_text_roundtrip(self):
         for spec in (
@@ -405,6 +433,48 @@ class TestLayoutPin:
             ("stage4.downsample", 32768),
             ("stage4.block1", 149248),
             ("head", 384),
+        ]
+
+    def test_micro_gl_layout(self, tmp_path):
+        # GL runs smlp before the local mixer but lists its children in LG order
+        model = build_caterpillar(
+            dataclasses.replace(MICRO, block=BlockConfig(ffn_ratio=2, combine="GL"))
+        )
+        save_checkpoint(str(tmp_path / "m.ckpt"), model)
+        assert _header_sha256(tmp_path / "m.ckpt") == (
+            "9380d759274021363ca0b65bcd8741cf77c3029030c9adaa5dc7a1cc67e03982"
+        )
+        assert estimate_flops(model, (1, 16, 16, 3))[1] == [
+            ("embed", 6144),
+            ("stage1.block1", 219136),
+            ("stage2.downsample", 32768),
+            ("stage2.block1", 166912),
+            ("stage3.downsample", 32768),
+            ("stage3.block1", 153088),
+            ("stage4.downsample", 32768),
+            ("stage4.block1", 149248),
+            ("head", 384),
+        ]
+
+    def test_resnet18_conv3x3_large_stem_layout(self, tmp_path):
+        model = build_resnet18(8, "conv3x3", 4, (64, 64, 3))
+        assert not model.spec.use_small_stem
+        save_checkpoint(str(tmp_path / "r.ckpt"), model)
+        assert _header_sha256(tmp_path / "r.ckpt") == (
+            "7b5824283cfe4b9e35b3fa4e624978a407a53137280c109db68abd9e1b30d7ca"
+        )
+        assert estimate_flops(model, (1, 64, 64, 3))[1] == [
+            ("stem_conv", 1204224),
+            ("stem_bn", 8192),
+            ("stage1.block1", 299008),
+            ("stage1.block2", 299008),
+            ("stage2.block1", 232448),
+            ("stage2.block2", 296960),
+            ("stage3.block1", 230912),
+            ("stage3.block2", 295936),
+            ("stage4.block1", 230144),
+            ("stage4.block2", 295424),
+            ("fc", 256),
         ]
 
     def test_resnet18_spc_layout(self, tmp_path):
