@@ -1,7 +1,8 @@
 """Command-line surface: accounting, gradient checks, benchmarks, training,
 evaluation and feature-map dumps.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+Exit codes: 0 success, 1 verification failure, 2 usage, config or OS error
+(a path that cannot be read or written).
 CSV schemas are versioned by their leading comment line; wall-clock fields
 are the only nondeterministic outputs.
 """
@@ -456,19 +457,19 @@ def cmd_dump_features(args) -> int:
         feats = {k: feats[k - 1]}
     else:
         feats = dict(enumerate(feats, start=1))
-    os.makedirs(args.out_dir, exist_ok=True)
-    for k, fmap in feats.items():
-        if args.reduce == "mean":
-            image = fmap[0].mean(axis=2)
-            tag = "mean"
-        elif args.reduce.startswith("channel:"):
-            ch = parse_int(args.reduce.split(":", 1)[1], "--reduce")
+    if args.reduce == "mean":
+        ch, tag = None, "mean"
+    elif args.reduce.startswith("channel:"):
+        ch = parse_int(args.reduce.split(":", 1)[1], "--reduce")
+        for k, fmap in feats.items():
             if not 0 <= ch < fmap.shape[3]:
                 raise CaterpillarError(f"channel {ch} out of range for stage {k}")
-            image = fmap[0, :, :, ch]
-            tag = f"channel{ch}"
-        else:
-            raise CaterpillarError(f"unknown reduce {args.reduce!r}")
+        tag = f"channel{ch}"
+    else:
+        raise CaterpillarError(f"unknown reduce {args.reduce!r}")
+    os.makedirs(args.out_dir, exist_ok=True)
+    for k, fmap in feats.items():
+        image = fmap[0].mean(axis=2) if ch is None else fmap[0, :, :, ch]
         path = os.path.join(args.out_dir, f"stage{k}_{tag}.pgm")
         lo, hi = write_pgm(path, image)
         print(f"{path}: {fmap.shape[1]}x{fmap.shape[2]} scaled from [{lo:.6g}, {hi:.6g}]")
@@ -546,10 +547,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CaterpillarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (CaterpillarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -242,6 +242,9 @@ def _retype(path, pattern: bytes, repl: bytes):
     path.write_bytes(raw)
 
 
+_SYNTH = "0,16,16,16,3,4"
+
+
 class TestTypedErrors:
     @pytest.mark.parametrize(
         "body, needle",
@@ -335,6 +338,58 @@ class TestTypedErrors:
         )
         assert_one_error(code, out, err)
         assert needle in err
+
+
+    # {ckpt} is a valid checkpoint; {dir} an existing directory, {file} an
+    # existing file and {under_file} a path below that file.
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (("eval", "--checkpoint", "{dir}", "--data-synth", _SYNTH), "dir"),
+            (("paramcount", "--spec-file", "{dir}"), "dir"),
+            (("paramcount", "--base-width", "8", "--depths", "1,1,1,1", "--csv", "{dir}"), "dir"),
+            (("train", "--checkpoint", "{dir}"), "dir"),
+            (("train", "--history", "{dir}"), "dir"),
+            (("train", "--checkpoint", "{under_file}"), "under_file"),
+            (("dump-features", "--checkpoint", "{ckpt}", "--data-synth", _SYNTH,
+              "--out-dir", "{file}"), "file"),
+        ],
+        ids=[
+            "eval-checkpoint-dir",
+            "paramcount-spec-file-dir",
+            "paramcount-csv-dir",
+            "train-checkpoint-dir",
+            "train-history-dir",
+            "train-checkpoint-under-file",
+            "dump-features-out-dir-file",
+        ],
+    )
+    def test_os_error_names_path(self, capsys, tmp_path, argv, bad):
+        paths = {
+            "ckpt": _micro_checkpoint(tmp_path / "m.ckpt"),
+            "dir": tmp_path / "a_dir",
+            "file": tmp_path / "a_file",
+            "under_file": tmp_path / "a_file" / "x.ckpt",
+        }
+        paths["dir"].mkdir()
+        paths["file"].write_text("")
+        argv = [a.format(**paths) for a in argv]
+        if argv[0] == "train":
+            argv += [*MICRO_FLAGS, "--data-synth", _SYNTH, "--steps", "1", "--batch-size", "8"]
+        code, out, err = run_cli(capsys, *argv)
+        assert_one_error(code, out, err)
+        assert str(paths[bad]) in err
+
+    @pytest.mark.parametrize("reduce", ["bogus", "channel:99", "channel:x"])
+    def test_bad_reduce_leaves_no_out_dir(self, capsys, tmp_path, reduce):
+        ckpt = _micro_checkpoint(tmp_path / "m.ckpt")
+        out_dir = tmp_path / "maps"
+        code, out, err = run_cli(
+            capsys, "dump-features", "--checkpoint", str(ckpt), "--data-synth", _SYNTH,
+            "--reduce", reduce, "--out-dir", str(out_dir),
+        )
+        assert_one_error(code, out, err)
+        assert not out_dir.exists()
 
 
 class TestCorruptInputs:
