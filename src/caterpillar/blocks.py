@@ -1,19 +1,22 @@
 """Token-mixing + channel-mixing block assembly.
 
-The default block applies a local mixer and the global sparse-MLP
-sequentially inside one residual, then a pre-norm FFN inside a second
-residual:
+A block is a Sequential of Residual units (layers.Residual), each
+path(x) + x.  The default "LG" block has one token-mixing unit, the local
+mixer then the global sparse-MLP, and a pre-norm FFN unit:
 
-    x1 = local(gelu(bn1(x)))
-    y  = global(gelu(bn2(x1))) + x
-    z  = ffn(ln(y)) + y
+    y = smlp(gelu(bn2(local(gelu(bn1(x)))))) + x
+    z = ffn(ln(y)) + y
 
-`combine` rearranges the token-mixing half: "GL" swaps the two mixers,
-"two_residual" gives each mixer its own residual, and the parallel modes
-("sum", "weighted_sum", "concat_reduce") feed both mixers the same
-gelu(bn1(x)) and merge their outputs.  The FFN half is identical everywhere.
-The local mixer is the shift-concatenation operator, a 3x3 depthwise
-convolution, or the identity.
+`combine` rewires only the token-mixing units:
+  * LG: one unit, path bn1, act1, local, bn2, act2, smlp
+  * GL: one unit, path bn1, act1, smlp, bn2, act2, local
+  * two_residual: two units, paths bn1, act1, local and bn2, act2, smlp
+  * sum, weighted_sum, concat_reduce: one unit, path bn1, act1 and a merge
+    that runs local and smlp on the same input and adds them, adds them
+    with learned scalar weights, or concatenates them into a Linear 2C -> C
+The [ln, ffn] unit is the same everywhere, and the children keep the LG
+order in every mode.  The local mixer is the shift-concatenation operator,
+a 3x3 depthwise convolution, or the identity.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from .layers import (
     Identity,
     LayerNorm,
     Linear,
-    Module,
     Parameter,
+    Residual,
+    Sequential,
 )
 from .smlp import Smlp
 from .spc import Spc, SpcConfig
@@ -64,8 +68,12 @@ class BlockConfig:
             raise ConfigError(f"block config: dw_kernel must be >= 1, got {self.dw_kernel}")
 
 
-class MixerBlock(Module):
-    """One token-mixing + channel-mixing block bound to a stage's (H, W, C)."""
+class MixerBlock(Sequential):
+    """One token-mixing + channel-mixing block bound to a stage's (H, W, C).
+
+    A Sequential of Residual units; see the module docstring for the units
+    of each combine strategy.
+    """
 
     def __init__(self, h: int, w: int, c: int, cfg: BlockConfig, rng: Rng | None = None):
         rng = rng or Rng(0)
@@ -80,90 +88,83 @@ class MixerBlock(Module):
         else:
             self.local = Identity()
         self.smlp = Smlp(h, w, c, rng=rng)
+        pre = [("bn1", self.bn1), ("act1", self.act1)]
+        local, smlp = [(cfg.local_mixer, self.local)], [("smlp", self.smlp)]
+        mid = merge = []
         if cfg.combine in _SEQUENTIAL:
-            self.bn2 = BatchNorm2d(c)
-            self.act2 = GELU()
-        else:
-            self.bn2 = None
-            self.act2 = None
+            self.bn2, self.act2 = BatchNorm2d(c), GELU()
+            mid = [("bn2", self.bn2), ("act2", self.act2)]
         if cfg.combine == "weighted_sum":
             self.local_scale = Parameter(np.array(1.0), weight_decay=False)
             self.global_scale = Parameter(np.array(1.0), weight_decay=False)
         if cfg.combine == "concat_reduce":
             self.merge = Linear(2 * c, c, rng=rng)
+            merge = [("merge", self.merge)]
         self.ln = LayerNorm(c)
         self.ffn = FFN(c, cfg.ffn_ratio, rng=rng)
+        channel = Residual([("ln", self.ln), ("ffn", self.ffn)])
+        # The children keep this order in every mode, although GL runs smlp first.
+        self._listed = pre + local + mid + smlp + merge + channel.layers
+        if cfg.combine == "LG":
+            token = [Residual(pre + local + mid + smlp)]
+        elif cfg.combine == "GL":
+            token = [Residual(pre + smlp + mid + local)]
+        elif cfg.combine == "two_residual":
+            token = [Residual(pre + local), Residual(mid + smlp)]
+        else:
+            token = [Residual(pre + [("parallel", _Parallel(self))])]
+        super().__init__([("token", unit) for unit in token] + [("channel", channel)])
 
     def _children(self):
-        out = [("bn1", self.bn1), ("act1", self.act1), (self.cfg.local_mixer, self.local)]
-        if self.bn2 is not None:
-            out += [("bn2", self.bn2), ("act2", self.act2)]
-        out.append(("smlp", self.smlp))
-        if self.cfg.combine == "concat_reduce":
-            out.append(("merge", self.merge))
-        out += [("ln", self.ln), ("ffn", self.ffn)]
-        return out
+        return self._listed
 
-    def _token_mix_forward(self, x, training):
-        combine = self.cfg.combine
-        if combine in ("LG", "GL"):
-            first, second = (self.local, self.smlp) if combine == "LG" else (self.smlp, self.local)
-            x1 = first(self.act1(self.bn1(x, training), training), training)
-            return second(self.act2(self.bn2(x1, training), training), training) + x
-        if combine == "two_residual":
-            y1 = self.local(self.act1(self.bn1(x, training), training), training) + x
-            return self.smlp(self.act2(self.bn2(y1, training), training), training) + y1
-        a = self.act1(self.bn1(x, training), training)
-        lo = self.local(a, training)
-        gl = self.smlp(a, training)
-        if combine == "sum":
-            return x + lo + gl
-        if combine == "weighted_sum":
-            self._branches = (lo, gl)
-            return x + self.local_scale.value * lo + self.global_scale.value * gl
-        return x + self.merge(np.concatenate((lo, gl), axis=3), training)
 
-    def _token_mix_backward(self, dy):
-        combine = self.cfg.combine
-        if combine in ("LG", "GL"):
-            first, second = (self.local, self.smlp) if combine == "LG" else (self.smlp, self.local)
-            dx1 = self.bn2.backward(self.act2.backward(second.backward(dy)))
-            return dy + self.bn1.backward(self.act1.backward(first.backward(dx1)))
-        if combine == "two_residual":
-            dy1 = dy + self.bn2.backward(self.act2.backward(self.smlp.backward(dy)))
-            return dy1 + self.bn1.backward(self.act1.backward(self.local.backward(dy1)))
-        if combine == "sum":
-            da = self.local.backward(dy) + self.smlp.backward(dy)
-        elif combine == "weighted_sum":
-            lo, gl = self._branches
-            self.local_scale.grad += np.sum(dy * lo)
-            self.global_scale.grad += np.sum(dy * gl)
-            da = self.local.backward(self.local_scale.value * dy)
-            da += self.smlp.backward(self.global_scale.value * dy)
-        else:
-            dcat = self.merge.backward(dy)
-            da = self.local.backward(dcat[..., : self.c])
-            da += self.smlp.backward(np.ascontiguousarray(dcat[..., self.c :]))
-        return dy + self.bn1.backward(self.act1.backward(da))
+class _Parallel:
+    """The parallel modes' merge of local and smlp run on one input.
 
-    def forward(self, x, training=False):
-        y = self._token_mix_forward(x, training)
-        return self.ffn(self.ln(y, training), training) + y
+    Not a Module: the block lists local, smlp and merge as its children and
+    keeps weighted_sum's branch outputs, which backward needs, on itself.
+    """
 
-    def backward(self, dz):
-        dy = dz + self.ln.backward(self.ffn.backward(dz))
-        return self._token_mix_backward(dy)
+    def __init__(self, block: MixerBlock):
+        self.block = block
+
+    def __call__(self, a, training=False):
+        b = self.block
+        lo, gl = b.local(a, training), b.smlp(a, training)
+        if b.cfg.combine == "sum":
+            return lo + gl
+        if b.cfg.combine == "weighted_sum":
+            b._branches = (lo, gl)
+            return b.local_scale.value * lo + b.global_scale.value * gl
+        return b.merge(np.concatenate((lo, gl), axis=3), training)
+
+    def backward(self, dy):
+        b = self.block
+        if b.cfg.combine == "sum":
+            return b.local.backward(dy) + b.smlp.backward(dy)
+        if b.cfg.combine == "weighted_sum":
+            lo, gl = b._branches
+            b.local_scale.grad += np.sum(dy * lo)
+            b.global_scale.grad += np.sum(dy * gl)
+            da = b.local.backward(b.local_scale.value * dy)
+            da += b.smlp.backward(b.global_scale.value * dy)
+            return da
+        dcat = b.merge.backward(dy)
+        da = b.local.backward(dcat[..., : b.c])
+        da += b.smlp.backward(np.ascontiguousarray(dcat[..., b.c :]))
+        return da
+
+    def out_shape(self, in_shape):
+        return tuple(in_shape)
 
     def macs(self, in_shape):
-        p = int(np.prod(in_shape[:3]))
-        total = self.bn1.macs(in_shape) + self.local.macs(in_shape) + self.smlp.macs(in_shape)
-        if self.bn2 is not None:
-            total += self.bn2.macs(in_shape)
-        if self.cfg.combine == "weighted_sum":
-            total += 2 * p * self.c
-        if self.cfg.combine == "concat_reduce":
-            total += self.merge.macs(tuple(in_shape[:3]) + (2 * self.c,))
-        total += self.ln.macs(in_shape) + self.ffn.macs(in_shape)
+        b = self.block
+        total = b.local.macs(in_shape) + b.smlp.macs(in_shape)
+        if b.cfg.combine == "weighted_sum":
+            total += 2 * int(np.prod(in_shape))
+        if b.cfg.combine == "concat_reduce":
+            total += b.merge.macs(tuple(in_shape[:3]) + (2 * b.c,))
         return total
 
 

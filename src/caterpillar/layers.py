@@ -3,8 +3,9 @@
 There is no tape: every layer caches what its own backward needs.  A chain
 is a Sequential: one ordered list of named layers that forward runs left to
 right, backward right to left, and that also fixes the child names and
-order.  All layers are built in float64 and can be cast with Module.astype
-for float32 training.
+order.  A skip connection is a Residual unit inside a Sequential; its layers
+count as the Sequential's own children.  All layers are built in float64
+and can be cast with Module.astype for float32 training.
 
 Gradient convention: backward(dy) accumulates into each Parameter.grad and
 returns the gradient with respect to the layer input.
@@ -106,14 +107,18 @@ class Sequential(Module):
     """A chain of named layers; the list is also the child names and order.
 
     forward folds the list left to right, backward right to left, and
-    out_shape/macs carry the shape along it.
+    out_shape/macs carry the shape along it.  A Residual in the list
+    contributes its own named layers as children.
     """
 
-    def __init__(self, layers: list[tuple[str, Module]]):
+    def __init__(self, layers: list[tuple[str, "Module | Residual"]]):
         self.layers = layers
 
     def _children(self):
-        return self.layers
+        out = []
+        for name, layer in self.layers:
+            out += layer.layers if isinstance(layer, Residual) else [(name, layer)]
+        return out
 
     def forward(self, x, training=False):
         for _, layer in self.layers:
@@ -139,6 +144,34 @@ class Sequential(Module):
 
     def macs(self, in_shape):
         return sum(m for _, m in self._layer_macs(in_shape))
+
+
+class Residual:
+    """One skip connection over named layers: post(path(x) + skip(x)).
+
+    An empty skip is the identity and an empty post does nothing.  Not a
+    Module: the Sequential that holds the unit lists path, skip and post
+    (its `layers`) as its own children, so parameter names, checkpoints and
+    tracing see only those layers.
+    """
+
+    def __init__(self, path, skip=(), post=()):
+        self.path, self.skip, self.post = (Sequential(list(p)) for p in (path, skip, post))
+        self.layers = [*path, *skip, *post]
+
+    def __call__(self, x, training=False):
+        return self.post(self.path(x, training) + self.skip(x, training), training)
+
+    def backward(self, dy):
+        dy = self.post.backward(dy)
+        return self.path.backward(dy) + self.skip.backward(dy)
+
+    def out_shape(self, in_shape):
+        return self.post.out_shape(self.path.out_shape(in_shape))
+
+    def macs(self, in_shape):
+        mid = self.path.out_shape(in_shape)
+        return self.path.macs(in_shape) + self.skip.macs(in_shape) + self.post.macs(mid)
 
 
 class Identity(Module):

@@ -40,6 +40,7 @@ from .layers import (
     MaxPool2d,
     Module,
     ReLU,
+    Residual,
     Sequential,
 )
 from .spc import Spc, SpcConfig
@@ -394,8 +395,8 @@ class CaterpillarModel(_Chain):
         super().__init__(spec, layers, stage_ends)
 
 
-class _BasicBlock(Module):
-    """resnet18 basic block; the two 3x3 convs may be swapped for shift mixers."""
+class _BasicBlock(Sequential):
+    """resnet18 basic block: one Residual unit; the two 3x3 convs may be shift mixers."""
 
     def __init__(self, cin: int, cout: int, stride: int, spec: ResnetSpec, rng: Rng):
         use_spc = spec.local_mixer == "spc"
@@ -405,66 +406,26 @@ class _BasicBlock(Module):
                 f"{spec.spc.n_directions} shift directions"
             )
         if use_spc:
-            self.mix1 = Spc(cin, cout, cfg=spec.spc, rng=rng)
+            mix1 = Spc(cin, cout, cfg=spec.spc, rng=rng)
             if stride == 2:
                 # stride-2 stand-in for a strided conv: shift mixer, 2x2 mean pool
-                self.mix1 = Sequential([("spc", self.mix1), ("pool", AvgPool2d(2))])
-            self.mix2 = Spc(cout, cout, cfg=spec.spc, rng=rng)
+                mix1 = Sequential([("spc", mix1), ("pool", AvgPool2d(2))])
+            mix2 = Spc(cout, cout, cfg=spec.spc, rng=rng)
         else:
-            self.mix1 = Conv2d(3, cin, cout, stride=stride, padding="same", rng=rng)
-            self.mix2 = Conv2d(3, cout, cout, stride=1, padding="same", rng=rng)
-        self.bn1 = BatchNorm2d(cout)
-        self.relu1 = ReLU()
-        self.bn2 = BatchNorm2d(cout)
-        self.short_conv = None
-        self.short_bn = None
-        if stride != 1 or cin != cout:
-            self.short_conv = Conv2d(1, cin, cout, stride=stride, padding="valid", rng=rng)
-            self.short_bn = BatchNorm2d(cout)
-        self.relu_out = ReLU()
-
-    def _children(self):
-        out = [
-            ("mix1", self.mix1),
-            ("bn1", self.bn1),
-            ("relu1", self.relu1),
-            ("mix2", self.mix2),
-            ("bn2", self.bn2),
+            mix1 = Conv2d(3, cin, cout, stride=stride, padding="same", rng=rng)
+            mix2 = Conv2d(3, cout, cout, stride=1, padding="same", rng=rng)
+        path = [
+            ("mix1", mix1),
+            ("bn1", BatchNorm2d(cout)),
+            ("relu1", ReLU()),
+            ("mix2", mix2),
+            ("bn2", BatchNorm2d(cout)),
         ]
-        if self.short_conv is not None:
-            out += [("short_conv", self.short_conv), ("short_bn", self.short_bn)]
-        out.append(("relu_out", self.relu_out))
-        return out
-
-    def forward(self, x, training=False):
-        path = self.bn2(self.mix2(self.relu1(self.bn1(self.mix1(x, training), training), training), training), training)
-        if self.short_conv is not None:
-            short = self.short_bn(self.short_conv(x, training), training)
-        else:
-            short = x
-        return self.relu_out(path + short, training)
-
-    def backward(self, dy):
-        dsum = self.relu_out.backward(dy)
-        dpath = self.mix1.backward(
-            self.bn1.backward(self.relu1.backward(self.mix2.backward(self.bn2.backward(dsum))))
-        )
-        if self.short_conv is not None:
-            dshort = self.short_conv.backward(self.short_bn.backward(dsum))
-        else:
-            dshort = dsum
-        return dpath + dshort
-
-    def out_shape(self, in_shape):
-        return self.mix1.out_shape(in_shape)
-
-    def macs(self, in_shape):
-        mid = self.mix1.out_shape(in_shape)
-        total = self.mix1.macs(in_shape) + self.bn1.macs(mid)
-        total += self.mix2.macs(mid) + self.bn2.macs(mid)
-        if self.short_conv is not None:
-            total += self.short_conv.macs(in_shape) + self.short_bn.macs(mid)
-        return total
+        skip = []
+        if stride != 1 or cin != cout:
+            short_conv = Conv2d(1, cin, cout, stride=stride, padding="valid", rng=rng)
+            skip = [("short_conv", short_conv), ("short_bn", BatchNorm2d(cout))]
+        super().__init__([("residual", Residual(path, skip, [("relu_out", ReLU())]))])
 
 
 class ResNetModel(_Chain):

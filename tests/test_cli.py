@@ -346,6 +346,8 @@ class TestTypedErrors:
         "argv, bad",
         [
             (("eval", "--checkpoint", "{dir}", "--data-synth", _SYNTH), "dir"),
+            (("eval", "--checkpoint", "{ckpt}", "--data-raw", "{dir}"), "dir"),
+            (("eval", "--checkpoint", "{ckpt}", "--data-cifar", "{dir}"), "dir"),
             (("paramcount", "--spec-file", "{dir}"), "dir"),
             (("paramcount", "--base-width", "8", "--depths", "1,1,1,1", "--csv", "{dir}"), "dir"),
             (("train", "--checkpoint", "{dir}"), "dir"),
@@ -356,6 +358,8 @@ class TestTypedErrors:
         ],
         ids=[
             "eval-checkpoint-dir",
+            "eval-data-raw-dir",
+            "eval-data-cifar-dir",
             "paramcount-spec-file-dir",
             "paramcount-csv-dir",
             "train-checkpoint-dir",
