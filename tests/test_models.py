@@ -29,7 +29,7 @@ from caterpillar.models import (
     save_checkpoint,
 )
 from caterpillar.models import _BasicBlock
-from caterpillar.layers import Linear, Module, finite_diff_check
+from caterpillar.layers import Linear, Module, Sequential, finite_diff_check
 from caterpillar.spc import DIRECTION_PRESETS, MIXING_WAYS, PADDING_MODES, SpcConfig, split_pairs
 from caterpillar.tensor import Rng
 
@@ -190,6 +190,37 @@ class TestConcurrentEval:
             assert len(results[k]) == 100
             for out in results[k]:
                 npt.assert_array_equal(out, serial[k])
+
+
+_EVAL_BACKWARD_MODELS = {
+    "micro-LG": lambda: build_caterpillar(MICRO, seed=4),
+    "micro-weighted_sum": lambda: build_caterpillar(
+        dataclasses.replace(MICRO, block=BlockConfig(ffn_ratio=2, combine="weighted_sum")), seed=4
+    ),
+    "resnet18-spc": lambda: build_resnet18(8, "spc", 5, (16, 16, 3), seed=4),
+}
+
+
+class TestBackwardAfterEval:
+    @pytest.mark.parametrize("name", sorted(_EVAL_BACKWARD_MODELS))
+    def test_matches_a_forward_that_keeps(self, name):
+        """model.forward(x, False) then backward equals the plain chain's keeping forward."""
+        x = rand((2, 16, 16, 3), seed=6)
+        d = rand((2, 5), seed=7)
+        grads = []
+        for keep in (True, False):
+            model = _EVAL_BACKWARD_MODELS[name]()
+            model.forward(rand((2, 16, 16, 3), seed=8), training=True)  # running stats
+            if keep:
+                Sequential.forward(model, x, False)
+            else:
+                model.forward(x, training=False)
+            model.zero_grad()
+            dx = model.backward(d)
+            grads.append([dx] + [p.grad.copy() for p in model.parameters()])
+        assert len(grads[0]) == len(grads[1])
+        for kept, recomputed in zip(*grads):
+            npt.assert_array_equal(recomputed, kept)
 
 
 def _held_modules(module):
