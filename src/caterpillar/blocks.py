@@ -37,6 +37,7 @@ from .layers import (
     Parameter,
     Residual,
     Sequential,
+    keeping,
 )
 from .smlp import Smlp
 from .spc import Spc, SpcConfig
@@ -135,7 +136,7 @@ class _Parallel:
         if b.cfg.combine == "sum":
             return lo + gl
         if b.cfg.combine == "weighted_sum":
-            b._branches = (lo, gl)
+            b._branches = (lo, gl) if keeping() else None
             return b.local_scale.value * lo + b.global_scale.value * gl
         return b.merge(np.concatenate((lo, gl), axis=3), training)
 

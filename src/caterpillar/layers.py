@@ -1,6 +1,10 @@
 """Differentiable primitive layers with explicit forward/backward.
 
-There is no tape: every layer caches what its own backward needs.  A chain
+There is no tape: every layer caches what its own backward needs, unless
+no backward will follow.  Inside `with no_backward():` the calling thread's
+layers keep nothing (keeping() is False) and drop what an earlier forward
+kept; the switch is per thread, so another thread's forward still keeps.  A
+chain
 is a Sequential: one ordered list of named layers that forward runs left to
 right, backward right to left, and that also fixes the child names and
 order.  A skip connection is a Residual unit inside a Sequential; its layers
@@ -13,13 +17,34 @@ returns the gradient with respect to the layer input.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 
 import numpy as np
 from scipy.special import erf
 
 from .errors import InsufficientBatchError, NumericError, ShapeError
 from .tensor import Rng, ensure_nhwc, max_rel_error
+
+
+_thread = threading.local()
+
+
+def keeping() -> bool:
+    """Whether this thread's layer forwards keep what their backward needs."""
+    return getattr(_thread, "keep", True)
+
+
+@contextlib.contextmanager
+def no_backward():
+    """Within the block, this thread's forwards keep nothing for a backward."""
+    prev = keeping()
+    _thread.keep = False
+    try:
+        yield
+    finally:
+        _thread.keep = prev
 
 
 class Parameter:
@@ -196,7 +221,7 @@ class Linear(Module):
         x = np.asarray(x)
         if x.shape[-1] != self.cin:
             raise ShapeError(f"linear: input channels {x.shape[-1]} != cin {self.cin}")
-        self._x = x
+        self._x = x if keeping() else None
         # One 2-D GEMM over all pillars: a 4-D matmul would run one small GEMM per (n, h) row.
         out = x.reshape(-1, self.cin) @ self.w.value
         if self.b is not None:
@@ -292,7 +317,7 @@ class BatchNorm2d(Module):
             # Not folded into x * scale + shift: that cancels when |mean| >> std.
             centered = out = rows - np.tile(mean, k)
         inv = 1.0 / np.sqrt(var + self.eps)
-        self._cache = (x if m == 0 else centered, mean, inv, m)
+        self._cache = (x if m == 0 else centered, mean, inv, m) if keeping() else None
         np.multiply(centered, np.tile(self.gamma.value * inv, k), out=out)
         out += np.tile(self.beta.value, k)
         return out.reshape(x.shape)
@@ -338,7 +363,7 @@ class LayerNorm(Module):
         out = np.multiply(xhat, xhat)
         inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + self.eps)
         xhat *= inv
-        self._cache = (xhat, inv)
+        self._cache = (xhat, inv) if keeping() else None
         np.multiply(xhat, self.gamma.value, out=out)
         out += self.beta.value
         return out
@@ -374,17 +399,18 @@ _PHI_CHUNK = 1 << 15  # elements per pass: the scratch buffers stay in cache
 _PDF_CLIP = 40  # |x| beyond which the normal pdf is 0 in float64 and float32
 
 
-def _gelu_f32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gelu_f32(x: np.ndarray, keep_phi: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """GELU x * phi(x) and the normal CDF phi of a float32 array; |phi error| <= 3e-7.
 
     phi(x) = 0.5 + 0.5 * tanh(x * P(x^2)) on x clipped to [-6, 6], 20 ufunc
     passes per chunk.  Runs one fixed-size chunk at a time with reused
-    scratch buffers, so the only full-size allocations are the two results.
+    scratch buffers, so the only full-size allocations are the two results;
+    without keep_phi, phi stays in a scratch buffer and is returned as None.
     """
     flat = x.reshape(-1)
-    phi = np.empty(flat.shape, np.float32)
+    phi = np.empty(flat.shape, np.float32) if keep_phi else None
     y = np.empty(flat.shape, np.float32)
-    z, s, p = (np.empty(min(_PHI_CHUNK, flat.size), np.float32) for _ in range(3))
+    z, s, p, q = (np.empty(min(_PHI_CHUNK, flat.size), np.float32) for _ in range(4))
     for start in range(0, flat.size, _PHI_CHUNK):
         xs = flat[start : start + _PHI_CHUNK]
         m = xs.size
@@ -397,14 +423,14 @@ def _gelu_f32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.multiply(pc, sc, out=pc)
             np.add(pc, c, out=pc)
         np.multiply(pc, zc, out=pc)
-        out = phi[start : start + m]
+        out = q[:m] if phi is None else phi[start : start + m]
         np.tanh(pc, out=out)
         np.multiply(out, np.float32(0.5), out=out)
         np.add(out, np.float32(0.5), out=out)
         # -inf becomes the lowest finite value, so its product with phi = 0 is -0, not NaN.
         np.maximum(xs, _F32_LOWEST, out=sc)
         np.multiply(sc, out, out=y[start : start + m])
-    return y.reshape(x.shape), phi.reshape(x.shape)
+    return y.reshape(x.shape), None if phi is None else phi.reshape(x.shape)
 
 
 class GELU(Module):
@@ -427,13 +453,14 @@ class GELU(Module):
 
     def forward(self, x, training=False):
         x = np.asarray(x)
-        self._x = x
+        keep = keeping()
+        self._x = x if keep else None
         if x.dtype == np.float32:
-            y, self._phi = _gelu_f32(x)
+            y, self._phi = _gelu_f32(x, keep)
             return y
         # The local phi, not self._phi, so that concurrent eval callers stay apart.
         phi = 0.5 * (1.0 + erf(x / np.sqrt(2.0).astype(x.dtype)))
-        self._phi = phi
+        self._phi = phi if keep else None
         return np.maximum(x, np.finfo(phi.dtype).min) * phi
 
     def backward(self, dy):
@@ -468,15 +495,24 @@ class ReLU(Module):
 
     def forward(self, x, training=False):
         x = np.asarray(x)
-        self._mask = x > 0
+        self._mask = (x > 0) if keeping() else None
         return np.maximum(x, 0)
 
     def backward(self, dy):
         return dy * self._mask
 
 
+_FFN_ROWS = 2048  # pillars per block of the streamed FFN forward
+
+
 class FFN(Sequential):
-    """Channel-mixing block: per-pillar Linear -> GELU -> Linear."""
+    """Channel-mixing block: per-pillar Linear -> GELU -> Linear.
+
+    With no backward to follow (keeping() is False) forward runs the chain
+    over blocks of _FFN_ROWS pillars into one output, so a block's
+    ratio*c-wide hidden activation stays in cache.  Each block goes through
+    the layers' own forward.
+    """
 
     def __init__(self, c: int, ratio: int = 3, bias: bool = True, rng: Rng | None = None):
         if ratio < 1:
@@ -485,6 +521,21 @@ class FFN(Sequential):
         self.fc1 = Linear(c, ratio * c, bias=bias, rng=rng)
         self.fc2 = Linear(ratio * c, c, bias=bias, rng=rng)
         super().__init__([("fc1", self.fc1), ("act", GELU()), ("fc2", self.fc2)])
+
+    def forward(self, x, training=False):
+        if keeping():
+            return super().forward(x, training)
+        x = np.asarray(x)
+        flat = x.reshape(-1, x.shape[-1])
+        if len(flat) <= _FFN_ROWS:
+            return super().forward(x, training)
+        out = None
+        for start in range(0, len(flat), _FFN_ROWS):
+            y = super().forward(flat[start : start + _FFN_ROWS], training)
+            if out is None:
+                out = np.empty((len(flat), y.shape[1]), y.dtype)
+            out[start : start + len(y)] = y
+        return out.reshape(x.shape[:-1] + out.shape[1:])
 
 
 def _conv_geometry(h, w, k, stride, padding):
@@ -531,7 +582,7 @@ class Conv2d(Module):
             raise ShapeError(f"conv: input channels {c} != cin {self.cin}")
         pad, ho, wo = _conv_geometry(h, w, self.k, self.stride, self.padding)
         xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
-        self._cache = (xp, pad, ho, wo)
+        self._cache = (xp, pad, ho, wo) if keeping() else None
         # One GEMM over all taps: with cin = 3 (the stems) a GEMM per tap has
         # an inner dimension of 3.
         out = self._patches(xp, ho, wo) @ self.w.value.reshape(-1, self.cout)
@@ -590,7 +641,7 @@ class DWConv2d(Module):
             raise ShapeError(f"dwconv: input channels {c} != {self.c}")
         pad, ho, wo = _conv_geometry(h, w, self.k, 1, "same")
         xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-        self._cache = (xp, pad, ho, wo)
+        self._cache = (xp, pad, ho, wo) if keeping() else None
         out = np.zeros_like(x)
         for di in range(self.k):
             for dj in range(self.k):
@@ -678,7 +729,7 @@ class MaxPool2d(Module):
                 for dj in range(k)
             ]
         )
-        self._arg = stack.argmax(axis=0)
+        self._arg = stack.argmax(axis=0) if keeping() else None
         self._geom = (x.shape, ho, wo)
         return stack.max(axis=0)
 

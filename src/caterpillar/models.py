@@ -42,6 +42,7 @@ from .layers import (
     ReLU,
     Residual,
     Sequential,
+    no_backward,
 )
 from .spc import Spc, SpcConfig
 from .tensor import Rng
@@ -336,27 +337,42 @@ class _Chain(Sequential):
     Owns the (N, 1, 1, K) <-> (N, K) logits reshape, the stage feature maps
     (the outputs of the layers at stage_ends) and the MAC rows (one per
     layer with non-zero MACs).
+
+    An eval forward runs its layers under no_backward() and keeps only its
+    input; a backward after it first re-runs that forward with the layers
+    keeping.  Eval mode is deterministic, so the gradients are those of a
+    forward that kept everything.
     """
 
     def __init__(self, spec, layers: list[tuple[str, Module]], stage_ends: list[int]):
         super().__init__(layers)
         self.spec = spec
         self.stage_ends = stage_ends
+        self._eval_x = None
 
     def forward(self, x, training=False):
-        out = super().forward(x, training)
+        if training:
+            self._eval_x = None
+            out = super().forward(x, training)
+        else:
+            self._eval_x = x
+            with no_backward():
+                out = super().forward(x, training)
         return out.reshape(out.shape[0], self.spec.num_classes)
 
     def backward(self, dlogits):
+        if self._eval_x is not None:
+            super().forward(self._eval_x, False)
         return super().backward(dlogits.reshape(dlogits.shape[0], 1, 1, self.spec.num_classes))
 
     def stage_features(self, x) -> list[np.ndarray]:
-        """Eval-mode feature map after each stage's last layer."""
+        """Eval-mode feature map after each stage's last layer; keeps nothing."""
         feats = []
-        for i, (_, layer) in enumerate(self.layers[: self.stage_ends[-1] + 1]):
-            x = layer(x, False)
-            if i in self.stage_ends:
-                feats.append(x)
+        with no_backward():
+            for i, (_, layer) in enumerate(self.layers[: self.stage_ends[-1] + 1]):
+                x = layer(x, False)
+                if i in self.stage_ends:
+                    feats.append(x)
         return feats
 
     def macs_rows(self, input_shape) -> list[tuple[str, int]]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .layers import Linear, Module, Parameter, trunc_normal_init
+from .layers import Linear, Module, Parameter, keeping, trunc_normal_init
 from .tensor import Rng, ensure_nhwc
 
 
@@ -40,7 +40,7 @@ class Smlp(Module):
             raise ShapeError(
                 f"smlp: bound to (H,W,C)=({self.h},{self.w},{self.c}), got {(h, w, c)}"
             )
-        self._x = x
+        self._x = x if keeping() else None
         # Both mixes contract an axis before the channels, so each is a matmul
         # with the mixing matrix on the left and needs no transposed copy:
         # row[n,i,v,:] = sum_j row_w[j,v] x[n,i,j,:], col[n,k,j,:] = sum_i col_w[i,k] x[n,i,j,:].

@@ -56,7 +56,7 @@ from .errors import (
     ShiftRangeError,
     parse_int,
 )
-from .layers import Linear, Module, _channel_sum
+from .layers import Linear, Module, _channel_sum, keeping
 from .tensor import Rng, ensure_nhwc
 
 DIRECTIONS = (
@@ -367,7 +367,7 @@ class Spc(Module):
         x = ensure_nhwc(x, "spc input")
         if x.shape[3] != self.cin:
             raise ShapeError(f"spc: input channels {x.shape[3]} != cin {self.cin}")
-        self._x = x
+        self._x = x if keeping() else None
         n, h, w, _ = x.shape
         z = np.empty((n, h, w, self._mixed), np.result_type(x, *(r.w.value for r in self._reduce)))
         for k, (plan, ch) in enumerate(zip(self._plans(h, w), self._chans)):

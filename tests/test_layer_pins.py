@@ -14,6 +14,7 @@ import numpy.testing as npt
 import pytest
 
 from caterpillar.layers import (
+    FFN,
     GELU,
     AvgPool2d,
     BatchNorm2d,
@@ -23,6 +24,7 @@ from caterpillar.layers import (
     Linear,
     MaxPool2d,
     ReLU,
+    no_backward,
 )
 from caterpillar.smlp import Smlp
 from caterpillar.tensor import Rng, max_rel_error
@@ -384,6 +386,45 @@ class TestGeluTanhBound:
         assert np.abs(gelu._phi.astype(np.float64) - exact).max() <= 3e-7
         beyond = np.abs(x) >= 6
         npt.assert_array_equal(gelu._phi[beyond], (x[beyond] > 0).astype(np.float32))
+
+    def test_path_without_phi_keeps_the_bound(self):
+        """Under no_backward() phi stays in a scratch chunk; x * phi keeps its bound."""
+        from scipy.special import erf
+
+        x = np.linspace(-12, 12, 2_400_001, dtype=np.float32)
+        kept = GELU()
+        y_kept = kept.forward(x)
+        gelu = GELU()
+        with no_backward():
+            y = gelu.forward(x)
+        assert gelu._phi is None and gelu._x is None
+        npt.assert_array_equal(y, y_kept)
+        x64 = x.astype(np.float64)
+        exact = x64 * 0.5 * (1.0 + erf(x64 / math.sqrt(2.0)))
+        # phi within 3e-7, and one float32 rounding of the product
+        assert np.all(np.abs(y - exact) <= 3e-7 * np.abs(x64) + 2.0**-24 * np.abs(y))
+
+
+class TestFfnStreamPin:
+    """The FFN forward streamed in row blocks when no backward follows, against the chain."""
+
+    @pytest.mark.parametrize("rows", [1, 2047, 2048, 2049, 3 * 2048 + 5])
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    def test_matches_layer_chain(self, rows, dtype, tol):
+        ffn = FFN(8, 3, rng=Rng(40))
+        for k, lin in enumerate((ffn.fc1, ffn.fc2)):
+            lin.b.value = rand(lin.b.value.shape, seed=41 + k)
+        ffn.astype(dtype)
+        x = rand((1, 1, rows, 8), seed=43).astype(dtype)
+        ref = ffn.forward(x)
+        blocks = []
+        fc1_forward = ffn.fc1.forward
+        ffn.fc1.forward = lambda a, training=False: blocks.append(a.size // 8) or fc1_forward(a)
+        with no_backward():
+            out = ffn.forward(x)
+        assert blocks == [min(2048, rows - start) for start in range(0, rows, 2048)]
+        assert out.shape == ref.shape and out.dtype == ref.dtype == dtype
+        assert np.all(np.abs(out - ref) <= tol * np.maximum(1.0, np.abs(ref)))
 
 
 def smlp_transposed_forward(layer, x):

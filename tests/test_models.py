@@ -29,7 +29,7 @@ from caterpillar.models import (
     save_checkpoint,
 )
 from caterpillar.models import _BasicBlock
-from caterpillar.layers import Linear, Module, Sequential, finite_diff_check
+from caterpillar.layers import Linear, Module, Sequential, finite_diff_check, no_backward
 from caterpillar.spc import DIRECTION_PRESETS, MIXING_WAYS, PADDING_MODES, SpcConfig, split_pairs
 from caterpillar.tensor import Rng
 
@@ -191,6 +191,44 @@ class TestConcurrentEval:
             for out in results[k]:
                 npt.assert_array_equal(out, serial[k])
 
+    def test_switch_is_per_thread(self):
+        """Eval forwards inside no_backward() in one thread leave another thread keeping.
+
+        The main thread trains a second model meanwhile; a process-wide switch
+        would leave its layers without caches, or its gradients changed.
+        """
+        shared = build_caterpillar(MICRO, seed=3)
+        trained = build_caterpillar(MICRO, seed=5)
+        x, d = rand((4, 16, 16, 3), seed=11), rand((4, 5), seed=12)
+
+        def grads():
+            trained.forward(x, training=True)
+            trained.zero_grad()
+            return [trained.backward(d)] + [p.grad.copy() for p in trained.parameters()]
+
+        serial = grads()
+        stop = threading.Event()
+        evals = []
+
+        def eval_loop():
+            with no_backward():
+                while not stop.is_set():
+                    evals.append(shared.forward(x, training=False))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        thread = threading.Thread(target=eval_loop)
+        try:
+            thread.start()
+            for _ in range(20):
+                for got, want in zip(grads(), serial, strict=True):
+                    npt.assert_array_equal(got, want)
+        finally:
+            stop.set()
+            thread.join(timeout=120)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive() and evals
+
 
 _EVAL_BACKWARD_MODELS = {
     "micro-LG": lambda: build_caterpillar(MICRO, seed=4),
@@ -221,6 +259,42 @@ class TestBackwardAfterEval:
         assert len(grads[0]) == len(grads[1])
         for kept, recomputed in zip(*grads):
             npt.assert_array_equal(recomputed, kept)
+
+
+def _walk(module, path="model"):
+    yield path, module
+    for name, child in module._children():
+        yield from _walk(child, f"{path}.{name}")
+
+
+def _kept_arrays(module) -> list[str]:
+    """ndarray attributes, also inside tuples, besides Parameters and buffers (perfbench's rule)."""
+
+    def holds(value):
+        if isinstance(value, np.ndarray):
+            return True
+        return isinstance(value, (tuple, list)) and any(holds(v) for v in value)
+
+    buffers = set(type(module).buffer_names)
+    return [k for k, v in vars(module).items() if k not in buffers and holds(v)]
+
+
+class TestKeepsNothing:
+    @pytest.mark.parametrize("name", sorted(_EVAL_BACKWARD_MODELS))
+    def test_eval_forward_keeps_only_the_model_input(self, name):
+        model = _EVAL_BACKWARD_MODELS[name]()
+        x = rand((2, 16, 16, 3), seed=9)
+
+        def layers_holding():
+            return [(path, k) for path, m in _walk(model) if m is not model for k in _kept_arrays(m)]
+
+        model.forward(x, training=True)
+        assert layers_holding()
+        model.forward(x, training=False)
+        assert layers_holding() == []
+        assert _kept_arrays(model) == ["_eval_x"] and model._eval_x is x
+        model.stage_features(x)
+        assert layers_holding() == []
 
 
 def _held_modules(module):
