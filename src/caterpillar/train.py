@@ -8,6 +8,7 @@ forward pass that produced the loss; evaluate() runs eval-mode batchnorm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,16 +37,28 @@ class TrainConfig:
             raise ConfigError(
                 f"train config: warmup {self.warmup_steps} must be < total {self.total_steps}"
             )
-        if min(self.lr_peak, self.lr_min, self.warmup_lr) <= 0:
-            raise ConfigError("train config: all learning rates must be positive")
+        # Written so that NaN fails every range check.
+        for name in ("lr_peak", "lr_min", "warmup_lr", "eps"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(
+                    f"train config: {name} must be finite and > 0, got {getattr(self, name)}"
+                )
         if self.lr_min > self.lr_peak:
             raise ConfigError("train config: lr_min must be <= lr_peak")
         if self.batch_size < 1:
             raise ConfigError(f"train config: batch_size must be >= 1, got {self.batch_size}")
         if self.warmup_steps < 0:
             raise ConfigError(f"train config: warmup_steps must be >= 0, got {self.warmup_steps}")
-        if not self.weight_decay >= 0:
-            raise ConfigError(f"train config: weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(
+                f"train config: weight_decay must be finite and >= 0, got {self.weight_decay}"
+            )
+        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
+            raise ConfigError(f"train config: betas must both lie in [0, 1), got {self.betas}")
+        if not 0 <= self.label_smoothing < 1:
+            raise ConfigError(
+                f"train config: label_smoothing must lie in [0, 1), got {self.label_smoothing}"
+            )
 
 
 def cosine_lr(step: int, cfg: TrainConfig) -> float:

@@ -384,6 +384,26 @@ class TestTypedErrors:
         assert_one_error(code, out, err)
         assert str(paths[bad]) in err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--lr", "nan", "lr_peak"),
+            ("--lr", "inf", "lr_peak"),
+            ("--lr-min", "nan", "lr_min"),
+            ("--warmup-lr", "nan", "warmup_lr"),
+            ("--weight-decay", "inf", "weight_decay"),
+        ],
+        ids=["lr-nan", "lr-inf", "lr-min-nan", "warmup-lr-nan", "weight-decay-inf"],
+    )
+    def test_non_finite_train_rate(self, capsys, tmp_path, flag, value, field):
+        ckpt = tmp_path / "m.ckpt"
+        code, out, err = run_cli(
+            capsys, "train", *MICRO_FLAGS, "--data-synth", _SYNTH, "--steps", "1",
+            "--batch-size", "8", flag, value, "--checkpoint", str(ckpt),
+        )
+        assert_one_error(code, out, err)
+        assert field in err and not ckpt.exists()
+
     @pytest.mark.parametrize("reduce", ["bogus", "channel:99", "channel:x"])
     def test_bad_reduce_leaves_no_out_dir(self, capsys, tmp_path, reduce):
         ckpt = _micro_checkpoint(tmp_path / "m.ckpt")

@@ -65,6 +65,30 @@ class TestCosineLr:
         with pytest.raises(ConfigError):
             TrainConfig(lr_min=2e-3, lr_peak=1e-3, total_steps=10)
 
+    @pytest.mark.parametrize(
+        "betas", [(1.0, 0.999), (0.9, 1.0), (-0.1, 0.999), (math.nan, 0.999), (0.9, math.inf)]
+    )
+    def test_betas_in_unit_interval(self, betas):
+        with pytest.raises(ConfigError, match="betas"):
+            TrainConfig(total_steps=10, betas=betas)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-8, math.nan, math.inf])
+    def test_eps_finite_and_positive(self, eps):
+        with pytest.raises(ConfigError, match="eps"):
+            TrainConfig(total_steps=10, eps=eps)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lr_peak", math.inf), ("lr_min", math.nan), ("warmup_lr", -math.inf),
+         ("weight_decay", math.nan), ("weight_decay", math.inf), ("label_smoothing", math.nan)],
+    )
+    def test_non_finite_rates(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(total_steps=10, **{field: value})
+
+    def test_edge_values_accepted(self):
+        TrainConfig(total_steps=10, betas=(0.0, 0.0), weight_decay=0.0, label_smoothing=0.0)
+
 
 class TestAdamW:
     def test_zero_grad_is_pure_decay(self):
