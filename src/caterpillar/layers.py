@@ -3,13 +3,13 @@
 There is no tape: every layer caches what its own backward needs, unless
 no backward will follow.  Inside `with no_backward():` the calling thread's
 layers keep nothing (keeping() is False) and drop what an earlier forward
-kept; the switch is per thread, so another thread's forward still keeps.  A
-chain
-is a Sequential: one ordered list of named layers that forward runs left to
-right, backward right to left, and that also fixes the child names and
-order.  A skip connection is a Residual unit inside a Sequential; its layers
-count as the Sequential's own children.  All layers are built in float64
-and can be cast with Module.astype for float32 training.
+kept; the switch is per thread, so another thread's forward still keeps.
+
+A chain is a Sequential: one ordered list of named layers that forward runs
+left to right, backward right to left, and that also fixes the child names
+and order.  A skip connection is a Residual unit inside a Sequential; its
+layers count as the Sequential's own children.  All layers are built in
+float64 and can be cast with Module.astype for float32 training.
 
 Gradient convention: backward(dy) accumulates into each Parameter.grad and
 returns the gradient with respect to the layer input.
@@ -405,12 +405,13 @@ def _gelu_f32(x: np.ndarray, keep_phi: bool = True) -> tuple[np.ndarray, np.ndar
     phi(x) = 0.5 + 0.5 * tanh(x * P(x^2)) on x clipped to [-6, 6], 20 ufunc
     passes per chunk.  Runs one fixed-size chunk at a time with reused
     scratch buffers, so the only full-size allocations are the two results;
-    without keep_phi, phi stays in a scratch buffer and is returned as None.
+    without keep_phi, each chunk's phi is built in the output itself and
+    None is returned for phi.
     """
     flat = x.reshape(-1)
     phi = np.empty(flat.shape, np.float32) if keep_phi else None
     y = np.empty(flat.shape, np.float32)
-    z, s, p, q = (np.empty(min(_PHI_CHUNK, flat.size), np.float32) for _ in range(4))
+    z, s, p = (np.empty(min(_PHI_CHUNK, flat.size), np.float32) for _ in range(3))
     for start in range(0, flat.size, _PHI_CHUNK):
         xs = flat[start : start + _PHI_CHUNK]
         m = xs.size
@@ -423,7 +424,7 @@ def _gelu_f32(x: np.ndarray, keep_phi: bool = True) -> tuple[np.ndarray, np.ndar
             np.multiply(pc, sc, out=pc)
             np.add(pc, c, out=pc)
         np.multiply(pc, zc, out=pc)
-        out = q[:m] if phi is None else phi[start : start + m]
+        out = (y if phi is None else phi)[start : start + m]
         np.tanh(pc, out=out)
         np.multiply(out, np.float32(0.5), out=out)
         np.add(out, np.float32(0.5), out=out)
@@ -523,12 +524,10 @@ class FFN(Sequential):
         super().__init__([("fc1", self.fc1), ("act", GELU()), ("fc2", self.fc2)])
 
     def forward(self, x, training=False):
-        if keeping():
-            return super().forward(x, training)
         x = np.asarray(x)
-        flat = x.reshape(-1, x.shape[-1])
-        if len(flat) <= _FFN_ROWS:
+        if keeping() or x.size <= _FFN_ROWS * x.shape[-1]:
             return super().forward(x, training)
+        flat = x.reshape(-1, x.shape[-1])
         out = None
         for start in range(0, len(flat), _FFN_ROWS):
             y = super().forward(flat[start : start + _FFN_ROWS], training)

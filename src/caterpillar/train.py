@@ -53,12 +53,8 @@ class TrainConfig:
             raise ConfigError(
                 f"train config: weight_decay must be finite and >= 0, got {self.weight_decay}"
             )
-        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
-            raise ConfigError(f"train config: betas must both lie in [0, 1), got {self.betas}")
-        if not 0 <= self.label_smoothing < 1:
-            raise ConfigError(
-                f"train config: label_smoothing must lie in [0, 1), got {self.label_smoothing}"
-            )
+        if not all(0 <= b < 1 for b in self.betas):
+            raise ConfigError(f"train config: betas must lie in [0, 1), got {self.betas}")
 
 
 def cosine_lr(step: int, cfg: TrainConfig) -> float:

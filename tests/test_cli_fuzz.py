@@ -185,8 +185,8 @@ def test_bench(paths, flags, out):
 )
 def test_train(paths, model, data, train, outputs):
     outputs = {k: "{%s}" % v for k, v in outputs.items()}
-    argv = _argv(["train"], BASE_MODEL, model, data, ["--steps", "1", "--batch-size", "8"], train, outputs)
-    run(paths, argv)
+    base = ["--steps", "1", "--batch-size", "8"]
+    run(paths, _argv(["train"], BASE_MODEL, model, data, base, train, outputs))
 
 
 @fuzz(150)

@@ -268,7 +268,10 @@ def _walk(module, path="model"):
 
 
 def _kept_arrays(module) -> list[str]:
-    """ndarray attributes, also inside tuples, besides Parameters and buffers (perfbench's rule)."""
+    """ndarray attributes, also inside tuples, besides Parameters and buffers.
+
+    This is what perfbench counts as retained_bytes.
+    """
 
     def holds(value):
         if isinstance(value, np.ndarray):
@@ -286,7 +289,9 @@ class TestKeepsNothing:
         x = rand((2, 16, 16, 3), seed=9)
 
         def layers_holding():
-            return [(path, k) for path, m in _walk(model) if m is not model for k in _kept_arrays(m)]
+            return [
+                (path, k) for path, m in _walk(model) if m is not model for k in _kept_arrays(m)
+            ]
 
         model.forward(x, training=True)
         assert layers_holding()

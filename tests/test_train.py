@@ -80,14 +80,14 @@ class TestCosineLr:
     @pytest.mark.parametrize(
         "field, value",
         [("lr_peak", math.inf), ("lr_min", math.nan), ("warmup_lr", -math.inf),
-         ("weight_decay", math.nan), ("weight_decay", math.inf), ("label_smoothing", math.nan)],
+         ("weight_decay", math.nan), ("weight_decay", math.inf)],
     )
     def test_non_finite_rates(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(total_steps=10, **{field: value})
 
     def test_edge_values_accepted(self):
-        TrainConfig(total_steps=10, betas=(0.0, 0.0), weight_decay=0.0, label_smoothing=0.0)
+        TrainConfig(total_steps=10, betas=(0.0, 0.0), weight_decay=0.0)
 
 
 class TestAdamW:
