@@ -28,23 +28,27 @@ from .errors import InsufficientBatchError, NumericError, ShapeError
 from .tensor import Rng, ensure_nhwc, max_rel_error
 
 
-_thread = threading.local()
+class _Switch(threading.local):
+    keep = True  # a class default: a thread that never set it reads this
+
+
+_switch = _Switch()
 
 
 def keeping() -> bool:
     """Whether this thread's layer forwards keep what their backward needs."""
-    return getattr(_thread, "keep", True)
+    return _switch.keep
 
 
 @contextlib.contextmanager
 def no_backward():
     """Within the block, this thread's forwards keep nothing for a backward."""
-    prev = keeping()
-    _thread.keep = False
+    prev = _switch.keep
+    _switch.keep = False
     try:
         yield
     finally:
-        _thread.keep = prev
+        _switch.keep = prev
 
 
 class Parameter:
