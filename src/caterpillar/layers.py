@@ -403,7 +403,7 @@ _PHI_CHUNK = 1 << 15  # elements per pass: the scratch buffers stay in cache
 _PDF_CLIP = 40  # |x| beyond which the normal pdf is 0 in float64 and float32
 
 
-def _gelu_f32(x: np.ndarray, keep_phi: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+def _gelu_f32(x: np.ndarray, keep_phi: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """GELU x * phi(x) and the normal CDF phi of a float32 array; |phi error| <= 3e-7.
 
     phi(x) = 0.5 + 0.5 * tanh(x * P(x^2)) on x clipped to [-6, 6], 20 ufunc

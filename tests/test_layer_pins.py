@@ -388,7 +388,7 @@ class TestGeluTanhBound:
         npt.assert_array_equal(gelu._phi[beyond], (x[beyond] > 0).astype(np.float32))
 
     def test_path_without_phi_keeps_the_bound(self):
-        """Under no_backward() phi stays in a scratch chunk; x * phi keeps its bound."""
+        """Under no_backward() phi is built in the output and not kept; x * phi keeps its bound."""
         from scipy.special import erf
 
         x = np.linspace(-12, 12, 2_400_001, dtype=np.float32)
