@@ -201,8 +201,10 @@ def synth_blobs(
     rng = Rng(seed)
     templates = rng.uniform(k * h * w * cin).reshape(k, h, w, cin)
     labels = np.arange(n, dtype=np.int64) % k
-    images = templates[labels]
+    images = templates[labels]  # a fresh array, so noise and clip go in place
     if sigma > 0:
-        images = images + sigma * rng.normal(n * h * w * cin).reshape(n, h, w, cin)
-    images = np.clip(images, 0.0, 1.0)
+        noise = rng.normal(n * h * w * cin).reshape(n, h, w, cin)
+        noise *= sigma
+        images += noise
+    np.clip(images, 0.0, 1.0, out=images)
     return LabeledImages(images, labels, k)

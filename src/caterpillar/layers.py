@@ -22,7 +22,6 @@ import math
 import threading
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import InsufficientBatchError, NumericError, ShapeError
 from .tensor import Rng, ensure_nhwc, max_rel_error
@@ -129,7 +128,8 @@ class Module:
 
 def trunc_normal_init(rng: Rng, shape: tuple, std: float = 0.02) -> np.ndarray:
     """Truncated-normal weight init: std 0.02, clipped at two sigmas."""
-    return rng.truncated_normal(int(np.prod(shape)), std=std, clip=2.0).reshape(shape)
+    # math.prod, not np.prod: an int64 product can wrap to a small count.
+    return rng.truncated_normal(math.prod(shape), std=std, clip=2.0).reshape(shape)
 
 
 class Sequential(Module):
@@ -441,7 +441,8 @@ def _gelu_f32(x: np.ndarray, keep_phi: bool) -> tuple[np.ndarray, np.ndarray | N
 class GELU(Module):
     """GELU: 0.5 * x * (1 + erf(x / sqrt(2))).
 
-    float64 inputs use scipy's exact erf.  float32 inputs use the tanh form
+    float64 inputs use scipy's exact erf, imported on the first float64
+    call.  float32 inputs use the tanh form
     phi(x) = 0.5 + 0.5 * tanh(g(x)) with g(x) = artanh(erf(x / sqrt(2)))
     approximated by x * P(x^2), P of degree 6 (_GELU_P).  P was fitted with
     numpy by iteratively reweighted least squares of g(x) / x in x^2 on
@@ -463,6 +464,8 @@ class GELU(Module):
         if x.dtype == np.float32:
             y, self._phi = _gelu_f32(x, keep)
             return y
+        from scipy.special import erf  # only here, so that importing the package loads no scipy
+
         # The local phi, not self._phi, so that concurrent eval callers stay apart.
         phi = 0.5 * (1.0 + erf(x / np.sqrt(2.0).astype(x.dtype)))
         self._phi = phi if keep else None

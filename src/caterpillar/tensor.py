@@ -43,6 +43,7 @@ def max_rel_error(a: np.ndarray, b: np.ndarray) -> float:
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_MAX_DRAWS = np.iinfo(np.intp).max // 8  # the most uint64 values one numpy array can hold
 
 
 class Rng:
@@ -59,37 +60,63 @@ class Rng:
         self._index = 0
 
     def next_u64(self, n: int) -> np.ndarray:
-        """Next n raw 64-bit outputs."""
-        idx = np.arange(self._index + 1, self._index + n + 1, dtype=np.uint64)
+        """Next n raw 64-bit outputs, mixed in place in one buffer."""
+        if not 0 <= n <= _MAX_DRAWS:
+            raise ShapeError(f"Rng: draw count {n} outside [0, {_MAX_DRAWS}]")
+        z = np.arange(self._index + 1, self._index + n + 1, dtype=np.uint64)
         self._index += n
-        z = self._seed + idx * _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        z *= _GOLDEN
+        z += self._seed
+        s = np.empty_like(z)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(z, np.uint64(shift), out=s)
+            z ^= s
+            z *= mix
+        np.right_shift(z, np.uint64(31), out=s)
+        z ^= s
+        return z
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles in the open interval (0, 1)."""
-        bits = self.next_u64(n) >> np.uint64(11)
-        return (bits.astype(np.float64) + 0.5) * (2.0 ** -53)
+        bits = self.next_u64(n)
+        bits >>= np.uint64(11)
+        u = bits.astype(np.float64)
+        u += 0.5
+        u *= 2.0 ** -53
+        return u
 
     def normal(self, n: int) -> np.ndarray:
-        """n standard normals via Box-Muller on consecutive uniform pairs."""
+        """n standard normals via Box-Muller on consecutive uniform pairs.
+
+        The first half of the pairs' outputs is r*cos(t), the second r*sin(t).
+        """
         m = (n + 1) // 2
-        u1 = self.uniform(m)
-        u2 = self.uniform(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        t = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(t), r * np.sin(t)])
+        r = self.uniform(m)
+        t = self.uniform(m)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        t *= 2.0 * np.pi
+        z = np.empty(2 * m)
+        for half, trig in ((z[:m], np.cos), (z[m:], np.sin)):
+            trig(t, out=half)
+            half *= r
         return z[:n]
 
     def truncated_normal(self, n: int, std: float = 0.02, clip: float = 2.0) -> np.ndarray:
-        """Normals with |z| <= clip (resampled), scaled by std."""
+        """Normals with |z| <= clip, scaled by std.
+
+        Values beyond the clip are redrawn in index order until none is left;
+        each round checks only the values it just redrew.
+        """
         out = self.normal(n)
-        bad = np.abs(out) > clip
-        while bad.any():
-            out[bad] = self.normal(int(bad.sum()))
-            bad = np.abs(out) > clip
-        return out * std
+        bad = np.flatnonzero(np.abs(out) > clip)
+        while bad.size:
+            redrawn = self.normal(bad.size)
+            out[bad] = redrawn
+            bad = bad[np.abs(redrawn) > clip]
+        out *= std
+        return out
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n)."""

@@ -481,6 +481,11 @@ class TestSpecChecks:
              "batch_size"),
             (("train", *MICRO_FLAGS, "--data-synth", "0,16,16,16,3,4", "--warmup-steps", "-1"),
              "warmup_steps"),
+            # Weight counts beyond what one array can hold, one of them with an
+            # int64 product that wraps to 0; the later flag overrides MICRO_FLAGS.
+            (("paramcount", *MICRO_FLAGS, "--classes", str(2**64)), "draw count"),
+            (("paramcount", *MICRO_FLAGS, "--classes", str(2**62)), "draw count"),
+            (("paramcount", *MICRO_FLAGS, "--base-width", str(2**64)), "draw count"),
         ],
     )
     def test_bad_flag_value(self, capsys, argv, needle):

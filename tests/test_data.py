@@ -184,6 +184,19 @@ class TestSynth:
         data = synth_blobs(8, 30, 5, 5, 1, 3)
         assert data.images.min() >= 0.0 and data.images.max() <= 1.0
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.1, 0.7])
+    def test_matches_expression(self, sigma):
+        """In-place noise and clip give the bits of the whole-array expression."""
+        n, h, w, cin, k = 12, 5, 3, 2, 4
+        rng = Rng(9)
+        templates = rng.uniform(k * h * w * cin).reshape(k, h, w, cin)
+        images = templates[np.arange(n) % k]
+        if sigma > 0:
+            images = images + sigma * rng.normal(n * h * w * cin).reshape(n, h, w, cin)
+        expected = np.clip(images, 0.0, 1.0)
+        got = synth_blobs(9, n, h, w, cin, k, sigma=sigma).images
+        npt.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
     def test_class_count_guard(self):
         with pytest.raises(FormatError):
             synth_blobs(0, 3, 2, 2, 1, 5)

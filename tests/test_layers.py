@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -200,6 +203,23 @@ class TestGeluFloat32:
         x = rand((2, 3, 3, 5), seed=48) * 4.0
         expected = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
         npt.assert_array_equal(GELU().forward(x), expected)
+
+    def test_import_loads_no_scipy(self):
+        """scipy.special loads on the first float64 GELU call, not on import."""
+        import caterpillar
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(caterpillar.__file__)))
+        code = (
+            "import sys, numpy as np, caterpillar\n"
+            "assert 'scipy.special' not in sys.modules, 'imported by caterpillar'\n"
+            "caterpillar.GELU().forward(np.ones(2, np.float32))\n"
+            "assert 'scipy.special' not in sys.modules, 'imported by the float32 GELU'\n"
+            "caterpillar.GELU().forward(np.ones(2))\n"
+            "assert 'scipy.special' in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestFFN:

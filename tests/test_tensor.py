@@ -4,7 +4,7 @@ import pytest
 
 from caterpillar.errors import ShapeError
 from caterpillar.layers import GlobalAvgPool, Linear
-from caterpillar.tensor import Rng, max_rel_error
+from caterpillar.tensor import _GOLDEN, _MIX1, _MIX2, Rng, max_rel_error
 
 # Frozen reference stream: SplitMix64 outputs 1..10 for seed 42, checked
 # against an independent scalar implementation of the published algorithm.
@@ -144,3 +144,79 @@ class TestRng:
         p = Rng(3).permutation(100)
         assert sorted(p.tolist()) == list(range(100))
         npt.assert_array_equal(p, Rng(3).permutation(100))
+
+
+class _ExpressionRng(Rng):
+    """The Rng draws as whole-array expressions, the reference for the in-place ones."""
+
+    def next_u64(self, n):
+        idx = np.arange(self._index + 1, self._index + n + 1, dtype=np.uint64)
+        self._index += n
+        z = self._seed + idx * _GOLDEN
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        return z ^ (z >> np.uint64(31))
+
+    def uniform(self, n):
+        bits = self.next_u64(n) >> np.uint64(11)
+        return (bits.astype(np.float64) + 0.5) * (2.0 ** -53)
+
+    def normal(self, n):
+        m = (n + 1) // 2
+        u1 = self.uniform(m)
+        u2 = self.uniform(m)
+        r = np.sqrt(-2.0 * np.log(u1))
+        t = 2.0 * np.pi * u2
+        return np.concatenate([r * np.cos(t), r * np.sin(t)])[:n]
+
+    def truncated_normal(self, n, std=0.02, clip=2.0):
+        out = self.normal(n)
+        bad = np.abs(out) > clip
+        while bad.any():
+            out[bad] = self.normal(int(bad.sum()))
+            bad = np.abs(out) > clip
+        return out * std
+
+
+class TestRngPin:
+    """The in-place draws equal the whole-array expressions bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 4097])
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda r, n: r.next_u64(n),
+            lambda r, n: r.uniform(n),
+            lambda r, n: r.normal(n),
+            # clip 0.5 rejects about 62% of the draws, so this takes several rounds.
+            lambda r, n: r.truncated_normal(n, std=0.02, clip=0.5),
+            lambda r, n: r.truncated_normal(n),
+        ],
+        ids=["next_u64", "uniform", "normal", "truncated_clip0.5", "truncated"],
+    )
+    def test_matches_expressions(self, n, draw):
+        for seed in (0, 42, 2**64 - 1):
+            new, ref = Rng(seed), _ExpressionRng(seed)
+            got, want = draw(new, n), draw(ref, n)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            # Both streams stand at the same index afterwards.
+            npt.assert_array_equal(new.next_u64(3), ref.next_u64(3))
+
+    def test_resampling_takes_several_rounds(self):
+        sizes = []
+
+        class Counting(Rng):
+            def normal(self, n):
+                sizes.append(n)
+                return super().normal(n)
+
+        Counting(0).truncated_normal(4097, clip=0.5)
+        assert len(sizes) > 5 and sizes[0] == 4097 and sizes[1] < 4097
+
+    @pytest.mark.parametrize("n", [-1, 2**61, 2**64])
+    def test_draw_count_out_of_range(self, n):
+        r = Rng(0)
+        with pytest.raises(ShapeError, match="draw count"):
+            r.next_u64(n)
+        npt.assert_array_equal(r.next_u64(10), Rng(0).next_u64(10))
