@@ -12,6 +12,7 @@ from .data import (
     save_raw_blob,
     synth_blobs,
 )
+from .errors import CaterpillarError
 from .layers import (
     FFN,
     GELU,
@@ -32,9 +33,7 @@ from .models import (
     ResnetSpec,
     ResNetModel,
     adapt_small_images,
-    build_caterpillar,
     build_model,
-    build_resnet18,
     caterpillar_param_formula,
     count_params,
     estimate_flops,

@@ -214,12 +214,12 @@ class Identity(Module):
 class Linear(Module):
     """Per-pillar fully connected layer: (..., cin) -> (..., cout)."""
 
-    def __init__(self, cin: int, cout: int, bias: bool = True, rng: Rng | None = None):
+    def __init__(self, cin: int, cout: int, rng: Rng | None = None):
         rng = rng or Rng(0)
         self.cin = cin
         self.cout = cout
         self.w = Parameter(trunc_normal_init(rng, (cin, cout)))
-        self.b = Parameter(np.zeros(cout), weight_decay=False) if bias else None
+        self.b = Parameter(np.zeros(cout), weight_decay=False)
 
     def forward(self, x, training=False):
         x = np.asarray(x)
@@ -228,8 +228,7 @@ class Linear(Module):
         self._x = x if keeping() else None
         # One 2-D GEMM over all pillars: a 4-D matmul would run one small GEMM per (n, h) row.
         out = x.reshape(-1, self.cin) @ self.w.value
-        if self.b is not None:
-            out += self.b.value
+        out += self.b.value
         return out.reshape(x.shape[:-1] + (self.cout,))
 
     def backward(self, dy):
@@ -237,8 +236,7 @@ class Linear(Module):
         flat_x = x.reshape(-1, self.cin)
         flat_dy = dy.reshape(-1, self.cout)
         self.w.grad += flat_x.T @ flat_dy
-        if self.b is not None:
-            self.b.grad += _channel_sum(flat_dy, self.cout)
+        self.b.grad += _channel_sum(flat_dy, self.cout)
         return (flat_dy @ self.w.value.T).reshape(x.shape)
 
     def out_shape(self, in_shape):
@@ -289,11 +287,11 @@ class BatchNorm2d(Module):
     """
 
     buffer_names = ("running_mean", "running_var")
+    eps = 1e-5
+    momentum = 0.1
 
-    def __init__(self, c: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, c: int):
         self.c = c
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Parameter(np.ones(c), weight_decay=False)
         self.beta = Parameter(np.zeros(c), weight_decay=False)
         self.running_mean = np.zeros(c)
@@ -353,9 +351,10 @@ class BatchNorm2d(Module):
 class LayerNorm(Module):
     """Per-pillar normalization over the channel axis; eps 1e-5."""
 
-    def __init__(self, c: int, eps: float = 1e-5):
+    eps = 1e-5
+
+    def __init__(self, c: int):
         self.c = c
-        self.eps = eps
         self.gamma = Parameter(np.ones(c), weight_decay=False)
         self.beta = Parameter(np.zeros(c), weight_decay=False)
 
@@ -522,12 +521,12 @@ class FFN(Sequential):
     the layers' own forward.
     """
 
-    def __init__(self, c: int, ratio: int = 3, bias: bool = True, rng: Rng | None = None):
+    def __init__(self, c: int, ratio: int = 3, rng: Rng | None = None):
         if ratio < 1:
             raise ShapeError(f"ffn: expansion ratio must be >= 1, got {ratio}")
         rng = rng or Rng(0)
-        self.fc1 = Linear(c, ratio * c, bias=bias, rng=rng)
-        self.fc2 = Linear(ratio * c, c, bias=bias, rng=rng)
+        self.fc1 = Linear(c, ratio * c, rng=rng)
+        self.fc2 = Linear(ratio * c, c, rng=rng)
         super().__init__([("fc1", self.fc1), ("act", GELU()), ("fc2", self.fc2)])
 
     def forward(self, x, training=False):
@@ -572,14 +571,13 @@ class Conv2d(Module):
         cout: int,
         stride: int = 1,
         padding: str = "same",
-        bias: bool = True,
         rng: Rng | None = None,
     ):
         rng = rng or Rng(0)
         self.k, self.cin, self.cout = k, cin, cout
         self.stride, self.padding = stride, padding
         self.w = Parameter(trunc_normal_init(rng, (k, k, cin, cout)))
-        self.b = Parameter(np.zeros(cout), weight_decay=False) if bias else None
+        self.b = Parameter(np.zeros(cout), weight_decay=False)
 
     def forward(self, x, training=False):
         x = ensure_nhwc(x, "conv input")
@@ -592,8 +590,7 @@ class Conv2d(Module):
         # One GEMM over all taps: with cin = 3 (the stems) a GEMM per tap has
         # an inner dimension of 3.
         out = self._patches(xp, ho, wo) @ self.w.value.reshape(-1, self.cout)
-        if self.b is not None:
-            out += self.b.value
+        out += self.b.value
         return out.reshape(n, ho, wo, self.cout)
 
     def _patches(self, xp, ho, wo):
@@ -608,8 +605,7 @@ class Conv2d(Module):
         s, k = self.stride, self.k
         flat_dy = dy.reshape(-1, self.cout)
         self.w.grad += (self._patches(xp, ho, wo).T @ flat_dy).reshape(self.w.grad.shape)
-        if self.b is not None:
-            self.b.grad += flat_dy.sum(axis=0)
+        self.b.grad += flat_dy.sum(axis=0)
         dpatch = flat_dy @ self.w.value.reshape(-1, self.cout).T
         dpatch = dpatch.reshape(-1, ho, wo, k, k, self.cin)
         dxp = np.zeros_like(xp)
@@ -632,13 +628,13 @@ class Conv2d(Module):
 class DWConv2d(Module):
     """Depthwise convolution: kernel (k, k, c), channel c sees only slice c."""
 
-    def __init__(self, k: int, c: int, bias: bool = True, rng: Rng | None = None):
+    def __init__(self, k: int, c: int, rng: Rng | None = None):
         if k % 2 == 0:
             raise ShapeError(f"dwconv: kernel must be odd, got {k}")
         rng = rng or Rng(0)
         self.k, self.c = k, c
         self.w = Parameter(trunc_normal_init(rng, (k, k, c)))
-        self.b = Parameter(np.zeros(c), weight_decay=False) if bias else None
+        self.b = Parameter(np.zeros(c), weight_decay=False)
 
     def forward(self, x, training=False):
         x = ensure_nhwc(x, "dwconv input")
@@ -652,8 +648,7 @@ class DWConv2d(Module):
         for di in range(self.k):
             for dj in range(self.k):
                 out += xp[:, di : di + ho, dj : dj + wo, :] * self.w.value[di, dj]
-        if self.b is not None:
-            out += self.b.value
+        out += self.b.value
         return out
 
     def backward(self, dy):
@@ -664,8 +659,7 @@ class DWConv2d(Module):
                 patch = xp[:, di : di + ho, dj : dj + wo, :]
                 self.w.grad[di, dj] += (patch * dy).sum(axis=(0, 1, 2))
                 dxp[:, di : di + ho, dj : dj + wo, :] += dy * self.w.value[di, dj]
-        if self.b is not None:
-            self.b.grad += dy.sum(axis=(0, 1, 2))
+        self.b.grad += dy.sum(axis=(0, 1, 2))
         return dxp[:, pad:-pad, pad:-pad, :]
 
     def macs(self, in_shape):

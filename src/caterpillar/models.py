@@ -45,7 +45,7 @@ from .layers import (
     no_backward,
 )
 from .spc import Spc, SpcConfig
-from .tensor import Rng
+from .tensor import _MAX_DRAWS, Rng
 
 VARIANT_PRESETS = {
     "Mi": (40, (2, 6, 10, 2)),
@@ -176,10 +176,6 @@ class ResnetSpec:
             object.__setattr__(self, name, _check_ints(getattr(self, name), name, n))
         if self.small_stem is None:
             object.__setattr__(self, "small_stem", min(self.input[0], self.input[1]) < 64)
-
-    @property
-    def use_small_stem(self) -> bool:
-        return bool(self.small_stem)
 
     def serialize(self) -> str:
         return _write_spec(self)
@@ -384,6 +380,11 @@ class CaterpillarModel(_Chain):
 
     def __init__(self, spec: ModelSpec, seed: int = 0):
         plan = spec.stage_plan()
+        total = caterpillar_param_formula(spec)
+        if total > _MAX_DRAWS:
+            raise BuildError(
+                f"model needs {total} parameters, over the largest draw count {_MAX_DRAWS}"
+            )
         rng = Rng(seed)
         p = spec.patch_size
         embed = Conv2d(p, spec.input[2], plan[0]["c"], stride=p, padding="valid", rng=rng)
@@ -450,13 +451,13 @@ class ResNetModel(_Chain):
     def __init__(self, spec: ResnetSpec, seed: int = 0):
         rng = Rng(seed)
         nc = spec.n_c
-        k, stride = (3, 1) if spec.use_small_stem else (7, 2)
+        k, stride = (3, 1) if spec.small_stem else (7, 2)
         layers = [
             ("stem_conv", Conv2d(k, spec.input[2], nc, stride=stride, padding="same", rng=rng)),
             ("stem_bn", BatchNorm2d(nc)),
             ("stem_relu", ReLU()),
         ]
-        if not spec.use_small_stem:
+        if not spec.small_stem:
             layers.append(("stem_pool", MaxPool2d(3, 2, 1)))
         stage_ends = []
         prev = nc
@@ -471,34 +472,10 @@ class ResNetModel(_Chain):
         super().__init__(spec, layers, stage_ends)
 
 
-def build_caterpillar(spec: ModelSpec, seed: int = 0) -> CaterpillarModel:
-    """Build the pyramid model; validates the stage plan first."""
-    return CaterpillarModel(spec, seed=seed)
-
-
-def build_resnet18(
-    n_c: int = 64,
-    local_mixer: str = "conv3x3",
-    num_classes: int = 1000,
-    input: tuple[int, int, int] = (224, 224, 3),
-    small_stem: bool | None = None,
-    spc: SpcConfig | None = None,
-    seed: int = 0,
-) -> ResNetModel:
-    spec = ResnetSpec(
-        n_c=n_c,
-        local_mixer=local_mixer,
-        num_classes=num_classes,
-        input=input,
-        small_stem=small_stem,
-        spc=spc or SpcConfig(),
-    )
-    return ResNetModel(spec, seed=seed)
-
-
 def build_model(spec: "ModelSpec | ResnetSpec", seed: int = 0) -> Module:
+    """The model a spec describes, with its weights drawn from seed."""
     if isinstance(spec, ModelSpec):
-        return build_caterpillar(spec, seed=seed)
+        return CaterpillarModel(spec, seed=seed)
     return ResNetModel(spec, seed=seed)
 
 

@@ -24,14 +24,14 @@ from .tensor import Rng, ensure_nhwc
 class Smlp(Module):
     """Row mix + column mix + identity, concatenated and fused back to C."""
 
-    def __init__(self, h: int, w: int, c: int, bias: bool = True, rng: Rng | None = None):
+    def __init__(self, h: int, w: int, c: int, rng: Rng | None = None):
         rng = rng or Rng(0)
         self.h, self.w, self.c = h, w, c
         self.row_w = Parameter(trunc_normal_init(rng, (w, w)))
-        self.row_b = Parameter(np.zeros(w), weight_decay=False) if bias else None
+        self.row_b = Parameter(np.zeros(w), weight_decay=False)
         self.col_w = Parameter(trunc_normal_init(rng, (h, h)))
-        self.col_b = Parameter(np.zeros(h), weight_decay=False) if bias else None
-        self.fuse = Linear(3 * c, c, bias=bias, rng=rng)
+        self.col_b = Parameter(np.zeros(h), weight_decay=False)
+        self.fuse = Linear(3 * c, c, rng=rng)
 
     def forward(self, x, training=False):
         x = ensure_nhwc(x, "smlp input")
@@ -47,11 +47,9 @@ class Smlp(Module):
         cat = np.empty((n, h, w, 3 * c), np.result_type(x, self.row_w.value))
         row = cat[..., :c].reshape(n * h, w, c)  # a view, since cat is contiguous
         np.matmul(self.row_w.value.T, x.reshape(n * h, w, c), out=row)
-        if self.row_b is not None:
-            row += self.row_b.value[:, None]
+        row += self.row_b.value[:, None]
         col = np.matmul(self.col_w.value.T, x.reshape(n, h, w * c))
-        if self.col_b is not None:
-            col += self.col_b.value[:, None]
+        col += self.col_b.value[:, None]
         cat[..., c : 2 * c] = col.reshape(n, h, w, c)
         cat[..., 2 * c :] = x
         return self.fuse(cat, training)
@@ -64,11 +62,9 @@ class Smlp(Module):
         dcol = np.ascontiguousarray(dcat[..., c : 2 * c]).reshape(n, h, w * c)
         x_row, x_col = x.reshape(n * h, w, c), x.reshape(n, h, w * c)
         self.row_w.grad += np.matmul(x_row, drow.transpose(0, 2, 1)).sum(axis=0)
-        if self.row_b is not None:
-            self.row_b.grad += drow.sum(axis=(0, 2))
+        self.row_b.grad += drow.sum(axis=(0, 2))
         self.col_w.grad += np.matmul(x_col, dcol.transpose(0, 2, 1)).sum(axis=0)
-        if self.col_b is not None:
-            self.col_b.grad += dcol.sum(axis=(0, 2))
+        self.col_b.grad += dcol.sum(axis=(0, 2))
         dx = np.matmul(self.row_w.value, drow)
         dx += dcat[..., 2 * c :].reshape(n * h, w, c)
         dx = dx.reshape(n, h, w * c)
@@ -80,12 +76,9 @@ class Smlp(Module):
         return p * self.c * (self.w + self.h) + p * 3 * self.c * self.c
 
 
-def smlp_param_count(h: int, w: int, c: int, biased: bool = True) -> int:
+def smlp_param_count(h: int, w: int, c: int) -> int:
     """Closed-form count: H^2 + W^2 + 3C^2 weights, plus H + W + C biases."""
-    count = h * h + w * w + 3 * c * c
-    if biased:
-        count += h + w + c
-    return count
+    return h * h + w * w + 3 * c * c + h + w + c
 
 
 def smlp_loop_oracle(x: np.ndarray, layer: Smlp) -> np.ndarray:
@@ -93,10 +86,8 @@ def smlp_loop_oracle(x: np.ndarray, layer: Smlp) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     n, h, w, c = x.shape
     row_w, col_w = layer.row_w.value, layer.col_w.value
-    row_b = layer.row_b.value if layer.row_b is not None else np.zeros(w)
-    col_b = layer.col_b.value if layer.col_b is not None else np.zeros(h)
-    fuse_w = layer.fuse.w.value
-    fuse_b = layer.fuse.b.value if layer.fuse.b is not None else np.zeros(c)
+    row_b, col_b = layer.row_b.value, layer.col_b.value
+    fuse_w, fuse_b = layer.fuse.w.value, layer.fuse.b.value
     out = np.zeros((n, h, w, c))
     for b in range(n):
         for i in range(h):

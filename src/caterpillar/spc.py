@@ -327,7 +327,6 @@ class Spc(Module):
         cin: int,
         cout: int | None = None,
         cfg: SpcConfig | None = None,
-        bias: bool = True,
         rng: Rng | None = None,
     ):
         rng = rng or Rng(0)
@@ -348,11 +347,11 @@ class Spc(Module):
         self._reduce = []
         if cfg.reduces_channels:
             for d in cfg.directions:
-                lin = Linear(cin, width, bias=bias, rng=rng)
+                lin = Linear(cin, width, rng=rng)
                 setattr(self, f"reduce_{d.replace('-', '_')}", lin)
                 self._reduce.append(lin)
         self._mixed = width if cfg.sums_maps else nd * width
-        self.fuse = Linear(self._mixed, cout, bias=bias, rng=rng) if cfg.fuses else None
+        self.fuse = Linear(self._mixed, cout, rng=rng) if cfg.fuses else None
         # direction k's channels in the mixed buffer
         self._chans = [
             slice(0, width) if cfg.sums_maps else slice(k * width, (k + 1) * width)
@@ -373,7 +372,7 @@ class Spc(Module):
         for k, (plan, ch) in enumerate(zip(self._plans(h, w), self._chans)):
             lin = self._reduce[k] if self._reduce else None
             src = x if lin is None else lin(x, training)
-            fill = 0.0 if lin is None or lin.b is None else lin.b.value
+            fill = 0.0 if lin is None else lin.b.value
             _write_shifted(z[..., ch], src, plan, fill, self.cfg.sums_maps and k > 0)
         return z if self.fuse is None else self.fuse(z, training)
 
@@ -392,13 +391,12 @@ class Spc(Module):
         # through du together: one weight GEMM and one input GEMM.
         flat_du = du.reshape(-1, c)
         dw = x.reshape(-1, c).T @ flat_du
-        db = _channel_sum(du, c) if self._reduce[0].b is not None else None
+        db = _channel_sum(du, c)
         for lin, ch, plan in zip(self._reduce, self._chans, plans):
             lin.w.grad += dw[:, ch]
-            if lin.b is not None:
-                lin.b.grad += db[ch]
-                for ro, co in plan[1]:
-                    lin.b.grad += dz[:, ro, co, ch].sum(axis=(0, 1, 2))
+            lin.b.grad += db[ch]
+            for ro, co in plan[1]:
+                lin.b.grad += dz[:, ro, co, ch].sum(axis=(0, 1, 2))
         w_all = np.concatenate([lin.w.value for lin in self._reduce], axis=1)
         return (flat_du @ w_all.T).reshape(x.shape)
 
@@ -409,20 +407,14 @@ class Spc(Module):
         return sum(lin.macs(in_shape) for _, lin in self._children())
 
 
-def spc_param_count(cin: int, cout: int, cfg: SpcConfig, bias: bool = True) -> int:
+def spc_param_count(cin: int, cout: int, cfg: SpcConfig) -> int:
     """Closed-form parameter count for an Spc layer (cross-checked by enumeration)."""
     nd = cfg.n_directions
-    reduce_w = cin * (cin // nd) * nd if cfg.reduces_channels else 0
-    reduce_b = (cin // nd) * nd if (cfg.reduces_channels and bias) else 0
-    if cfg.mixing == "reduce_concat_fuse":
-        fuse_w, fuse_b = cin * cout, cout
-    elif cfg.mixing == "concat_fuse":
-        fuse_w, fuse_b = nd * cin * cout, cout
-    elif cfg.mixing == "sum_fuse":
-        fuse_w, fuse_b = cin * cout, cout
-    else:
-        fuse_w, fuse_b = 0, 0
-    return reduce_w + reduce_b + fuse_w + (fuse_b if bias else 0)
+    # each reduction is a cin x (cin/N) Linear and its bias
+    reduce = (cin + 1) * (cin // nd) * nd if cfg.reduces_channels else 0
+    fuse_in = nd * cin if cfg.mixing == "concat_fuse" else cin
+    fuse = (fuse_in + 1) * cout if cfg.fuses else 0
+    return reduce + fuse
 
 
 def spc_oracle(x: np.ndarray, layer: Spc) -> np.ndarray:
@@ -453,14 +445,10 @@ def spc_oracle(x: np.ndarray, layer: Spc) -> np.ndarray:
         return -m if m < 0 else 2 * (length - 1) - m
 
     comps = [_COMPONENTS[d] for d in cfg.directions]
-    reduce_ws = [lin.w.value for lin in layer._reduce] if layer._reduce else None
-    reduce_bs = (
-        [lin.b.value if lin.b is not None else None for lin in layer._reduce]
-        if layer._reduce
-        else None
-    )
+    reduce_ws = [lin.w.value for lin in layer._reduce]
+    reduce_bs = [lin.b.value for lin in layer._reduce]
     fuse_w = layer.fuse.w.value if layer.fuse is not None else None
-    fuse_b = layer.fuse.b.value if (layer.fuse is not None and layer.fuse.b is not None) else None
+    fuse_b = layer.fuse.b.value if layer.fuse is not None else None
 
     out = np.zeros((n, h, w, cout))
     for b in range(n):
@@ -485,9 +473,7 @@ def spc_oracle(x: np.ndarray, layer: Spc) -> np.ndarray:
                             acc = 0.0
                             for ci in range(c):
                                 acc += vec[ci] * float(wd[ci, cc])
-                            if bd is not None:
-                                acc += float(bd[cc])
-                            stacked.append(acc)
+                            stacked.append(acc + float(bd[cc]))
                 elif mixing == "concat_fuse":
                     stacked = []
                     for d in range(nd):
@@ -506,7 +492,5 @@ def spc_oracle(x: np.ndarray, layer: Spc) -> np.ndarray:
                         acc = 0.0
                         for zi, zv in enumerate(stacked):
                             acc += zv * float(fuse_w[zi, cc])
-                        if fuse_b is not None:
-                            acc += float(fuse_b[cc])
-                        out[b, i, j, cc] = acc
+                        out[b, i, j, cc] = acc + float(fuse_b[cc])
     return out

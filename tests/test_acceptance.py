@@ -25,8 +25,8 @@ from caterpillar.data import (
 from caterpillar.layers import Linear
 from caterpillar.models import (
     ModelSpec,
-    build_caterpillar,
-    build_resnet18,
+    ResnetSpec,
+    build_model,
     count_params,
     estimate_flops,
     load_checkpoint,
@@ -73,6 +73,10 @@ def test_01_oracle_equivalence_full_grid():
                     n, h, w = shapes[cases % len(shapes)]
                     seed += 1
                     layer = Spc(c, cfg=cfg, rng=Rng(seed))
+                    biases = Rng(3000 + seed)  # a fresh layer's biases are all zero
+                    for name, p in layer.named_parameters():
+                        if name.endswith("b"):
+                            p.value = biases.normal(p.value.size)
                     x = Rng(1000 + seed).normal(n * h * w * c).reshape(n, h, w, c)
                     err = max_rel_error(layer.forward(x), spc_oracle(x, layer))
                     worst = max(worst, err)
@@ -105,29 +109,28 @@ def test_03_mixer_accounting_closed_forms():
     assert conv == 9 * d * d
     assert spc_count == 2 * d * d
     assert conv / spc_count == 4.5
-    enumerated = sum(
-        p.value.size for p in Spc(d, cfg=SpcConfig(), bias=False, rng=Rng(1)).parameters()
-    )
-    assert enumerated == spc_count == 12800
+    layer = Spc(d, cfg=SpcConfig(), rng=Rng(1))
+    weights = sum(p.value.size for n, p in layer.named_parameters() if n.endswith("w"))
+    assert weights == spc_count == 12800
     report(3, "local-mixer closed forms", f"[conv {conv}, spc {spc_count}, ratio 4.5]")
 
 
 def test_04_model_accounting_vs_tables():
-    t = build_caterpillar(ModelSpec.preset("T"))
+    t = build_model(ModelSpec.preset("T"))
     t_params, _ = count_params(t)
     t_macs, _ = estimate_flops(t, (1, 224, 224, 3))
     assert abs(t_params - 29e6) <= 0.10 * 29e6
     assert abs(t_macs - 6.0e9) <= 0.15 * 6.0e9
 
-    mi = build_caterpillar(ModelSpec.preset("Mi"))
+    mi = build_model(ModelSpec.preset("Mi"))
     mi_params, _ = count_params(mi)
     mi_macs, _ = estimate_flops(mi, (1, 224, 224, 3))
     assert abs(mi_params - 6e6) <= 0.10 * 6e6
     assert abs(mi_macs - 1.2e9) <= 0.15 * 1.2e9
 
-    r18_spc, _ = count_params(build_resnet18(64, "spc", 10, (32, 32, 3)))
+    r18_spc, _ = count_params(build_model(ResnetSpec(64, "spc", 10, (32, 32, 3))))
     assert abs(r18_spc - 2.6e6) <= 0.15 * 2.6e6
-    r18_conv, _ = count_params(build_resnet18(64, "conv3x3", 1000, (224, 224, 3)))
+    r18_conv, _ = count_params(build_model(ResnetSpec(64, "conv3x3", 1000, (224, 224, 3))))
     assert abs(r18_conv - 12e6) <= 0.10 * 12e6
     report(
         4,
@@ -144,8 +147,8 @@ def test_05_local_mixer_delta():
         dw_spec = dataclasses.replace(
             spc_spec, block=dataclasses.replace(spc_spec.block, local_mixer="dwconv")
         )
-        a, _ = count_params(build_caterpillar(spc_spec))
-        b, _ = count_params(build_caterpillar(dw_spec))
+        a, _ = count_params(build_model(spc_spec))
+        b, _ = count_params(build_model(dw_spec))
         deltas.append(a - b)
     assert deltas[0] == deltas[1] == deltas[2]
     assert 4.5e6 <= deltas[0] <= 5.3e6
@@ -206,7 +209,7 @@ def test_08_micro_overfit_and_determinism():
     cfg = TrainConfig(total_steps=120, batch_size=64, seed=5)
 
     t0 = time.time()
-    model = build_caterpillar(spec, seed=5).astype(np.float32)
+    model = build_model(spec, seed=5).astype(np.float32)
     history = train_loop(model, images, data.labels, cfg)
     elapsed = time.time() - t0
 
@@ -217,7 +220,7 @@ def test_08_micro_overfit_and_determinism():
     assert eval_acc == 1.0
     assert elapsed < 120.0
 
-    model_b = build_caterpillar(spec, seed=5).astype(np.float32)
+    model_b = build_model(spec, seed=5).astype(np.float32)
     history_b = train_loop(model_b, images, data.labels, cfg)
     assert history == history_b  # bit-identical floats
     report(
@@ -282,7 +285,7 @@ def test_10_format_fidelity(tmp_path):
         variant="custom", base_width=8, depths=(1, 1, 1, 1), patch_size=1,
         input=(16, 16, 3), num_classes=4, block=BlockConfig(ffn_ratio=2),
     )
-    model = build_caterpillar(spec, seed=2).astype(np.float32)
+    model = build_model(spec, seed=2).astype(np.float32)
     model.forward(
         Rng(3).normal(2 * 16 * 16 * 3).reshape(2, 16, 16, 3).astype(np.float32),
         training=True,

@@ -103,11 +103,11 @@ class TestCombineStrategies:
 class TestLocalMixers:
     def test_spc_vs_dwconv_biasless_delta(self):
         c = 16
-        spc_params = sum(
-            p.value.size for p in Spc(c, cfg=SpcConfig(), bias=False, rng=Rng(1)).parameters()
+        spc, dw = Spc(c, cfg=SpcConfig(), rng=Rng(1)), DWConv2d(3, c, rng=Rng(1))
+        spc_weights, dw_weights = (
+            sum(p.value.size for n, p in m.named_parameters() if n.endswith("w")) for m in (spc, dw)
         )
-        dw_params = sum(p.value.size for p in DWConv2d(3, c, bias=False, rng=Rng(1)).parameters())
-        assert spc_params - dw_params == 2 * c * c - 9 * c
+        assert spc_weights - dw_weights == 2 * c * c - 9 * c
 
     def test_center_one_dwconv_equals_identity_mixer(self):
         x = rand((1, 3, 3, 4), 11)

@@ -1,4 +1,8 @@
+import os
 import re
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from caterpillar.cli import (
 )
 from caterpillar.blocks import BlockConfig
 from caterpillar.data import synth_blobs
-from caterpillar.models import ModelSpec, build_caterpillar, save_checkpoint
+from caterpillar.models import ModelSpec, build_model, save_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -226,7 +230,7 @@ def _micro_checkpoint(path):
         variant="custom", base_width=8, depths=(1, 1, 1, 1), patch_size=1,
         input=(16, 16, 3), num_classes=4, block=BlockConfig(ffn_ratio=2),
     )
-    save_checkpoint(str(path), build_caterpillar(spec))
+    save_checkpoint(str(path), build_model(spec))
     return path
 
 
@@ -492,6 +496,25 @@ class TestSpecChecks:
         code, out, err = run_cli(capsys, *argv)
         assert_one_error(code, out, err)
         assert needle in err
+
+    def test_huge_depth_refused_before_any_draw(self):
+        # Each block's draws are small, so only the closed-form total can
+        # refuse this depth; a build would grow until memory runs out.  The
+        # child runs under a 2 GiB address-space cap and a time limit.
+        import caterpillar
+
+        argv = ["paramcount", "--base-width", "8", "--depths", f"{2**64},1,1,1",
+                "--patch-size", "1", "--input", "16,16,3", "--classes", "4"]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(caterpillar.__file__)))
+        cap = 2 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "caterpillar", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert_one_error(proc.returncode, proc.stdout, proc.stderr)
+        assert int(re.search(r"needs (\d+) parameters", proc.stderr).group(1)) > 2**64
 
     @pytest.mark.parametrize(
         "body, needle",

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from caterpillar.cli import main
 from caterpillar.data import save_idx, save_raw_blob, synth_blobs
-from caterpillar.models import ModelSpec, build_caterpillar, save_checkpoint
+from caterpillar.models import ModelSpec, build_model, save_checkpoint
 
 def fuzz(examples):
     return settings(max_examples=examples, derandomize=True, deadline=None, database=None)
@@ -54,7 +54,7 @@ def paths(tmp_path_factory):
     base = tmp_path_factory.mktemp("fuzz")
     spec = ModelSpec(variant="custom", base_width=8, depths=(1, 1, 1, 1), patch_size=1,
                      input=(16, 16, 3), num_classes=4)
-    save_checkpoint(str(base / "m.ckpt"), build_caterpillar(spec))
+    save_checkpoint(str(base / "m.ckpt"), build_model(spec))
     raw = (base / "m.ckpt").read_bytes()
     (base / "truncated").write_bytes(raw[: len(raw) // 2])
     (base / "empty").write_bytes(b"")

@@ -17,9 +17,7 @@ from caterpillar.models import (
     ModelSpec,
     ResnetSpec,
     adapt_small_images,
-    build_caterpillar,
     build_model,
-    build_resnet18,
     caterpillar_param_formula,
     count_params,
     estimate_flops,
@@ -116,7 +114,7 @@ class TestStagePlans:
 
 class TestBuildAndForward:
     def test_micro_forward_shape(self):
-        model = build_caterpillar(MICRO, seed=1)
+        model = build_model(MICRO, seed=1)
         out = model.forward(rand((3, 16, 16, 3), 1), training=True)
         assert out.shape == (3, 5)
         assert np.all(np.isfinite(out))
@@ -126,12 +124,12 @@ class TestBuildAndForward:
             variant="custom", base_width=16, depths=(1, 1, 1, 1), patch_size=1,
             input=(32, 32, 3), num_classes=10, block=BlockConfig(ffn_ratio=2),
         )
-        model = build_caterpillar(spec)
+        model = build_model(spec)
         out = model.forward(rand((2, 32, 32, 3), 2))
         assert out.shape == (2, 10)
 
     def test_backward_runs_and_shapes(self):
-        model = build_caterpillar(MICRO, seed=2)
+        model = build_model(MICRO, seed=2)
         x = rand((2, 16, 16, 3), 3)
         out = model.forward(x, training=True)
         model.zero_grad()
@@ -141,7 +139,7 @@ class TestBuildAndForward:
 
     def test_stage_features_match_plan(self):
         spec = adapt_small_images(ModelSpec.preset("Mi"), "CIFAR")
-        model = build_caterpillar(spec, seed=1)
+        model = build_model(spec, seed=1)
         feats = model.stage_features(rand((1, 32, 32, 3), 9))
         plan = spec.stage_plan()
         assert [f.shape for f in feats] == [
@@ -151,7 +149,7 @@ class TestBuildAndForward:
         assert out.shape == (2, spec.num_classes)
 
     def test_parameter_names_unique_and_structured(self):
-        model = build_caterpillar(MICRO, seed=0)
+        model = build_model(MICRO, seed=0)
         names = [n for n, _ in model.named_parameters()]
         assert len(names) == len(set(names))
         assert "stage1.block1.spc.fuse.w" in names
@@ -166,7 +164,7 @@ class TestConcurrentEval:
         Every layer still writes its cache for a possible backward, so a layer
         that read its own cache back inside forward would mix up the callers.
         """
-        model = build_caterpillar(MICRO, seed=3)
+        model = build_model(MICRO, seed=3)
         inputs = [rand((4, 16, 16, 3), seed=k) for k in (1, 2)]
         serial = [model.forward(x, training=False) for x in inputs]
         results = [[], []]
@@ -197,8 +195,8 @@ class TestConcurrentEval:
         The main thread trains a second model meanwhile; a process-wide switch
         would leave its layers without caches, or its gradients changed.
         """
-        shared = build_caterpillar(MICRO, seed=3)
-        trained = build_caterpillar(MICRO, seed=5)
+        shared = build_model(MICRO, seed=3)
+        trained = build_model(MICRO, seed=5)
         x, d = rand((4, 16, 16, 3), seed=11), rand((4, 5), seed=12)
 
         def grads():
@@ -231,11 +229,11 @@ class TestConcurrentEval:
 
 
 _EVAL_BACKWARD_MODELS = {
-    "micro-LG": lambda: build_caterpillar(MICRO, seed=4),
-    "micro-weighted_sum": lambda: build_caterpillar(
+    "micro-LG": lambda: build_model(MICRO, seed=4),
+    "micro-weighted_sum": lambda: build_model(
         dataclasses.replace(MICRO, block=BlockConfig(ffn_ratio=2, combine="weighted_sum")), seed=4
     ),
-    "resnet18-spc": lambda: build_resnet18(8, "spc", 5, (16, 16, 3), seed=4),
+    "resnet18-spc": lambda: build_model(ResnetSpec(8, "spc", 5, (16, 16, 3)), seed=4),
 }
 
 
@@ -317,14 +315,13 @@ def _all_model_variants():
     for mixer in LOCAL_MIXERS:
         for combine in COMBINE_STRATEGIES:
             block = BlockConfig(ffn_ratio=2, local_mixer=mixer, combine=combine)
-            yield f"caterpillar-{mixer}-{combine}", build_caterpillar(
+            yield f"caterpillar-{mixer}-{combine}", build_model(
                 dataclasses.replace(MICRO, block=block)
             )
     for mixer in ("conv3x3", "spc"):
         for small_stem in (True, False):
-            yield f"resnet18-{mixer}-small{small_stem}", build_resnet18(
-                8, mixer, 4, (32, 32, 3), small_stem=small_stem
-            )
+            spec = ResnetSpec(8, mixer, 4, (32, 32, 3), small_stem=small_stem)
+            yield f"resnet18-{mixer}-small{small_stem}", build_model(spec)
 
 
 class TestChildren:
@@ -371,7 +368,7 @@ class TestAccounting:
             ),
         ]
         for spec in specs:
-            total, _ = count_params(build_caterpillar(spec))
+            total, _ = count_params(build_model(spec))
             assert total == caterpillar_param_formula(spec), spec
 
     def test_delta_independent_of_ffn_ratio(self):
@@ -394,12 +391,12 @@ class TestAccounting:
         assert lin.macs((1, 7, 5, 6)) == 7 * 5 * 6 * 11
 
     def test_estimate_flops_input_binding(self):
-        model = build_caterpillar(MICRO)
+        model = build_model(MICRO)
         with pytest.raises(Exception):
             estimate_flops(model, (1, 32, 32, 3))
 
     def test_flops_rows_cover_model(self):
-        model = build_caterpillar(MICRO)
+        model = build_model(MICRO)
         total, rows = estimate_flops(model, (1, 16, 16, 3))
         names = [n for n, _ in rows]
         assert names[0] == "embed" and names[-1] == "head"
@@ -408,28 +405,28 @@ class TestAccounting:
 
 class TestResnet:
     def test_conv_baseline_params(self):
-        total, _ = count_params(build_resnet18(64, "conv3x3", 1000, (224, 224, 3)))
+        total, _ = count_params(build_model(ResnetSpec(64, "conv3x3", 1000, (224, 224, 3))))
         assert abs(total - 12e6) <= 0.10 * 12e6
 
     def test_spc_small_image_params(self):
-        total, _ = count_params(build_resnet18(64, "spc", 10, (32, 32, 3)))
+        total, _ = count_params(build_model(ResnetSpec(64, "spc", 10, (32, 32, 3))))
         assert abs(total - 2.6e6) <= 0.15 * 2.6e6
 
     def test_spc_nc128_builds_and_runs(self):
-        model = build_resnet18(128, "spc", 10, (32, 32, 3))
+        model = build_model(ResnetSpec(128, "spc", 10, (32, 32, 3)))
         out = model.forward(rand((2, 32, 32, 3), 4))
         assert out.shape == (2, 10)
 
     def test_spc_divisibility_error(self):
         with pytest.raises(BuildError, match="divisible"):
-            build_resnet18(6, "spc", 10, (32, 32, 3))
+            build_model(ResnetSpec(6, "spc", 10, (32, 32, 3)))
 
     def test_small_stem_auto(self):
-        assert ResnetSpec(input=(32, 32, 3)).use_small_stem
-        assert not ResnetSpec(input=(224, 224, 3)).use_small_stem
+        assert ResnetSpec(input=(32, 32, 3)).small_stem is True
+        assert ResnetSpec(input=(224, 224, 3)).small_stem is False
 
     def test_backward_runs(self):
-        model = build_resnet18(8, "spc", 4, (16, 16, 3), seed=3)
+        model = build_model(ResnetSpec(8, "spc", 4, (16, 16, 3)), seed=3)
         x = rand((2, 16, 16, 3), 5)
         out = model.forward(x, training=True)
         model.zero_grad()
@@ -479,18 +476,18 @@ class TestSerialization:
                 ),
                 channel_schedule=(8, 16, 32, 64),
             ),
-            ResnetSpec(n_c=32, local_mixer="spc", num_classes=7, input=(32, 32, 3)),
+            ResnetSpec(32, "spc", 7, (32, 32, 3)),
         ):
             assert parse_model_spec(spec.serialize()) == spec
 
     def test_rebuild_identical_table(self):
-        model = build_caterpillar(MICRO, seed=4)
+        model = build_model(MICRO, seed=4)
         rebuilt = build_model(parse_model_spec(MICRO.serialize()), seed=9)
         table = lambda m: [(n, p.value.shape) for n, p in m.named_parameters()]
         assert table(model) == table(rebuilt)
 
     def test_checkpoint_roundtrip_bit_exact(self, tmp_path):
-        model = build_caterpillar(MICRO, seed=5).astype(np.float32)
+        model = build_model(MICRO, seed=5).astype(np.float32)
         # make running stats nontrivial before saving
         model.forward(rand((2, 16, 16, 3), 6).astype(np.float32), training=True)
         p1 = tmp_path / "a.ckpt"
@@ -509,7 +506,7 @@ class TestSerialization:
             load_checkpoint(str(bad))
 
     def test_resnet_checkpoint_roundtrip(self, tmp_path):
-        model = build_resnet18(8, "spc", 4, (16, 16, 3), seed=6).astype(np.float32)
+        model = build_model(ResnetSpec(8, "spc", 4, (16, 16, 3)), seed=6).astype(np.float32)
         path = tmp_path / "r.ckpt"
         save_checkpoint(str(path), model)
         loaded = load_checkpoint(str(path))
@@ -528,7 +525,7 @@ class TestLayoutPin:
     # Literals recorded from the builders: a refactor that renames, reorders
     # or reshapes a tensor, or moves a MAC row, changes one of them.
     def test_micro_layout(self, tmp_path):
-        model = build_caterpillar(MICRO)
+        model = build_model(MICRO)
         save_checkpoint(str(tmp_path / "m.ckpt"), model)
         assert _header_sha256(tmp_path / "m.ckpt") == (
             "cbfbbef51f6f4d181b7259ad34a8930aeef27f3f7716f44f677dd1bab6d7cb87"
@@ -547,7 +544,7 @@ class TestLayoutPin:
 
     def test_micro_gl_layout(self, tmp_path):
         # GL runs smlp before the local mixer but lists its children in LG order
-        model = build_caterpillar(
+        model = build_model(
             dataclasses.replace(MICRO, block=BlockConfig(ffn_ratio=2, combine="GL"))
         )
         save_checkpoint(str(tmp_path / "m.ckpt"), model)
@@ -567,8 +564,8 @@ class TestLayoutPin:
         ]
 
     def test_resnet18_conv3x3_large_stem_layout(self, tmp_path):
-        model = build_resnet18(8, "conv3x3", 4, (64, 64, 3))
-        assert not model.spec.use_small_stem
+        model = build_model(ResnetSpec(8, "conv3x3", 4, (64, 64, 3)))
+        assert not model.spec.small_stem
         save_checkpoint(str(tmp_path / "r.ckpt"), model)
         assert _header_sha256(tmp_path / "r.ckpt") == (
             "7b5824283cfe4b9e35b3fa4e624978a407a53137280c109db68abd9e1b30d7ca"
@@ -588,7 +585,7 @@ class TestLayoutPin:
         ]
 
     def test_resnet18_spc_layout(self, tmp_path):
-        model = build_resnet18(8, "spc", 4, (32, 32, 3))
+        model = build_model(ResnetSpec(8, "spc", 4, (32, 32, 3)))
         save_checkpoint(str(tmp_path / "r.ckpt"), model)
         assert _header_sha256(tmp_path / "r.ckpt") == (
             "3cbe3141d603db379751f367fb5547561c77cd66e0e7cd11ee48f3c9bc849bf8"
@@ -606,6 +603,21 @@ class TestLayoutPin:
             ("stage4.block2", 264192),
             ("fc", 256),
         ]
+
+    # The whole file, header and float32 blob: initial weights take no BLAS
+    # call, so a change to the builders, the draws or the format moves these.
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (MICRO, "454f3a7c988d8d160a3ed480b910d6a54c6604722eef8383ab759c2b8f153e2e"),
+            (ResnetSpec(8, "spc", 4, (32, 32, 3)),
+             "bf224f68b2a0f82ce4ba7402752624ef8cc60af10c4c0a6d0307f994f2d58df4"),
+        ],
+        ids=["micro", "resnet18-spc"],
+    )
+    def test_whole_checkpoint(self, tmp_path, spec, digest):
+        save_checkpoint(str(tmp_path / "m.ckpt"), build_model(spec, seed=0))
+        assert hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest() == digest
 
 
 # Texts drawn for each table key: tiny valid values, out-of-range and
@@ -707,7 +719,7 @@ def valid_specs(draw):
 @pytest.fixture(scope="module")
 def micro_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
-    save_checkpoint(str(path), build_caterpillar(MICRO))
+    save_checkpoint(str(path), build_model(MICRO))
     raw = path.read_bytes()
     return raw, raw.index(b"\n", raw.index(b"\nDATA ") + 1) + 1
 

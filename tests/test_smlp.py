@@ -54,6 +54,8 @@ class TestForward:
 
     def test_matches_loop_oracle(self):
         layer = Smlp(4, 5, 6, rng=Rng(4))
+        for k, p in enumerate((layer.row_b, layer.col_b, layer.fuse.b)):
+            p.value = rand(p.value.shape, 6 + k)  # a fresh layer's biases are all zero
         x = rand((1, 4, 5, 6), 5)
         assert max_rel_error(layer.forward(x), smlp_loop_oracle(x, layer)) < 1e-12
 
@@ -64,18 +66,16 @@ class TestForward:
 
 class TestParamCount:
     def test_examples(self):
-        assert smlp_param_count(8, 8, 16, biased=False) == 64 + 64 + 768 == 896
-        assert smlp_param_count(1, 1, 1, biased=False) == 1 + 1 + 3 == 5
-        assert smlp_param_count(56, 56, 80, biased=False) == 56**2 * 2 + 3 * 80**2 == 25472
+        assert smlp_param_count(8, 8, 16) == 64 + 64 + 768 + 8 + 8 + 16 == 928
+        assert smlp_param_count(1, 1, 1) == 1 + 1 + 3 + 1 + 1 + 1 == 8
+        assert smlp_param_count(56, 56, 80) == 56**2 * 2 + 3 * 80**2 + 56 + 56 + 80 == 25664
 
     def test_matches_enumeration(self):
         layer = Smlp(5, 7, 4, rng=Rng(6))
         enumerated = sum(p.value.size for p in layer.parameters())
-        assert enumerated == smlp_param_count(5, 7, 4, biased=True)
-        biasless = Smlp(5, 7, 4, bias=False, rng=Rng(6))
-        assert sum(p.value.size for p in biasless.parameters()) == smlp_param_count(
-            5, 7, 4, biased=False
-        )
+        assert enumerated == smlp_param_count(5, 7, 4)
+        weights = sum(p.value.size for n, p in layer.named_parameters() if n.endswith("w"))
+        assert weights == 5 * 5 + 7 * 7 + 3 * 4 * 4
 
 
 class TestGlobalReach:

@@ -25,6 +25,15 @@ def rand(shape, seed=0):
     return Rng(seed).normal(int(np.prod(shape))).reshape(shape)
 
 
+def random_biases(layer, seed):
+    """The layer with every bias drawn at random; a fresh layer's biases are all zero."""
+    rng = Rng(seed)
+    for name, p in layer.named_parameters():
+        if name.endswith("b"):
+            p.value = rng.normal(p.value.size)
+    return layer
+
+
 def grid_channels(cfg: SpcConfig, base: int = 8) -> int:
     """Smallest channel count >= base satisfying the reduce divisibility rule."""
     if not cfg.reduces_channels or base % cfg.n_directions == 0:
@@ -138,7 +147,7 @@ class TestMixing:
     def test_basis_selection(self):
         # reduce_d = d-th standard basis column, fuse = identity: output
         # channel d is exactly channel d of neighboring map d
-        layer = Spc(4, cfg=SpcConfig(), bias=False, rng=Rng(1))
+        layer = Spc(4, cfg=SpcConfig(), rng=Rng(1))
         for d, lin in enumerate(layer._reduce):
             lin.w.value[:] = 0.0
             lin.w.value[d, 0] = 1.0
@@ -173,7 +182,7 @@ class TestMixing:
 
 class TestSpcLayer:
     def test_zero_input_zero_everything(self):
-        layer = Spc(4, cfg=SpcConfig(), bias=False, rng=Rng(3))
+        layer = Spc(4, cfg=SpcConfig(), rng=Rng(3))
         x = np.zeros((1, 3, 3, 4))
         out = layer.forward(x)
         npt.assert_array_equal(out, np.zeros_like(out))
@@ -188,10 +197,10 @@ class TestSpcLayer:
         assert finite_diff_check(layer, rand((1, 4, 4, 8), 7)) < 1e-6
 
     def test_param_count_closed_form(self):
-        layer = Spc(80, cfg=SpcConfig(), bias=False, rng=Rng(5))
-        enumerated = sum(p.value.size for p in layer.parameters())
-        assert enumerated == 4 * (80 * 20) + 80 * 80 == 12800 == 2 * 80**2
-        assert spc_param_count(80, 80, SpcConfig(), bias=False) == 12800
+        layer = Spc(80, cfg=SpcConfig(), rng=Rng(5))
+        weights = sum(p.value.size for n, p in layer.named_parameters() if n.endswith("w"))
+        assert weights == 4 * (80 * 20) + 80 * 80 == 12800 == 2 * 80**2
+        assert spc_param_count(80, 80, SpcConfig()) == 12800 + 4 * 20 + 80
 
     def test_param_count_all_mixings(self):
         for mixing in MIXING_WAYS:
@@ -232,20 +241,20 @@ class TestSpcLayer:
         assert np.abs(layer.forward(x3)[0, 2, 2] - base[0, 2, 2]).max() > 0
 
     def test_border_missing_neighbor_is_bias_only(self):
-        layer = Spc(4, cfg=SpcConfig(), rng=Rng(8))
+        layer = random_biases(Spc(4, cfg=SpcConfig(), rng=Rng(8)), 18)
         zero_out = layer.forward(np.zeros((1, 3, 3, 4)))
         # with zero input every gathered neighbor is zero or zero-padding,
         # so the output is exactly the composed bias at every pillar
         npt.assert_allclose(zero_out, np.broadcast_to(zero_out[0, 0, 0], zero_out.shape))
-        biasless = Spc(4, cfg=SpcConfig(), bias=False, rng=Rng(8))
-        npt.assert_array_equal(
-            biasless.forward(np.zeros((1, 3, 3, 4))), np.zeros((1, 3, 3, 4))
-        )
+        for name, p in layer.named_parameters():
+            if name.endswith("b"):
+                p.value[:] = 0.0
+        npt.assert_array_equal(layer.forward(np.zeros((1, 3, 3, 4))), np.zeros((1, 3, 3, 4)))
 
 
 class TestInvariants:
     def test_homogeneity(self):
-        layer = Spc(8, cfg=SpcConfig(), bias=False, rng=Rng(9))
+        layer = Spc(8, cfg=SpcConfig(), rng=Rng(9))
         x = rand((1, 4, 4, 8), 9)
         for alpha in (-2.0, 0.5, 3.0):
             assert max_rel_error(layer.forward(alpha * x), alpha * layer.forward(x)) < 1e-12
@@ -377,7 +386,7 @@ class TestProperties:
     @given(spc_cases())
     def test_forward_matches_oracle_or_range_error(self, case):
         cfg, cout, shape, seed = case
-        layer = Spc(shape[3], cout, cfg=cfg, rng=Rng(seed))
+        layer = random_biases(Spc(shape[3], cout, cfg=cfg, rng=Rng(seed)), seed + 3)
         x = rand(shape, seed + 1)
         shift_err, reflect_err = _range_errors(cfg, shape[1], shape[2])
         if shift_err or reflect_err:
@@ -417,8 +426,7 @@ def old_backward(layer, x, dy):
     if layer.fuse is not None:
         z = layer.fuse._x.reshape(-1, layer.fuse.cin)
         grads["fuse.w"] += z.T @ dy.reshape(-1, layer.cout)
-        if layer.fuse.b is not None:
-            grads["fuse.b"] += dy.reshape(-1, layer.cout).sum(axis=0)
+        grads["fuse.b"] += dy.reshape(-1, layer.cout).sum(axis=0)
         dz = (dy.reshape(-1, layer.cout) @ layer.fuse.w.value.T).reshape(layer.fuse._x.shape)
 
     def add_unshifted(dsrc, dout, plan):
@@ -439,18 +447,17 @@ def old_backward(layer, x, dy):
         add_unshifted(dyk, dzk, plan)
         flat = dyk.reshape(-1, width)
         grads[f"{name}.w"] += x.reshape(-1, c).T @ flat
-        if lin.b is not None:
-            for ro, co in plan[1]:
-                grads[f"{name}.b"] += dzk[:, ro, co].sum(axis=(0, 1, 2))
-            grads[f"{name}.b"] += flat.sum(axis=0)
+        for ro, co in plan[1]:
+            grads[f"{name}.b"] += dzk[:, ro, co].sum(axis=(0, 1, 2))
+        grads[f"{name}.b"] += flat.sum(axis=0)
         dx += (flat @ lin.w.value.T).reshape(x.shape)
     return dx, grads
 
 
-def _check_backward_matches_old(case, bias):
+def _check_backward_matches_old(case):
     cfg, cout, shape, seed = case
     assume(_range_errors(cfg, shape[1], shape[2]) == (False, False))
-    layer = Spc(shape[3], cout, cfg=cfg, bias=bias, rng=Rng(seed))
+    layer = Spc(shape[3], cout, cfg=cfg, rng=Rng(seed))
     x = rand(shape, seed + 1)
     dy = rand(layer.forward(x).shape, seed + 2)
     dx_ref, grads_ref = old_backward(layer, x, dy)
@@ -464,14 +471,14 @@ class TestBackwardPin:
     """Spc.backward against the per-reduction backward it replaced, in float64."""
 
     @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(spc_cases(mixing=st.sampled_from(("reduce_concat_fuse", "reduce_concat"))), st.booleans())
-    def test_reduce_mixings_match_old_path(self, case, bias):
-        _check_backward_matches_old(case, bias)
+    @given(spc_cases(mixing=st.sampled_from(("reduce_concat_fuse", "reduce_concat"))))
+    def test_reduce_mixings_match_old_path(self, case):
+        _check_backward_matches_old(case)
 
     @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(spc_cases(mixing=st.sampled_from(("concat_fuse", "sum_fuse", "sum"))), st.booleans())
-    def test_other_mixings_match_old_path(self, case, bias):
-        _check_backward_matches_old(case, bias)
+    @given(spc_cases(mixing=st.sampled_from(("concat_fuse", "sum_fuse", "sum"))))
+    def test_other_mixings_match_old_path(self, case):
+        _check_backward_matches_old(case)
 
 
 _SPC_VALUES = ["4", "5", "7", "²", "٤", "up+down", "up+up", "center", "", "-1", "0", "2",

@@ -7,7 +7,7 @@ import pytest
 from caterpillar.blocks import BlockConfig
 from caterpillar.data import synth_blobs
 from caterpillar.errors import ConfigError, NumericError
-from caterpillar.models import ModelSpec, build_caterpillar
+from caterpillar.models import ModelSpec, build_model
 from caterpillar.tensor import Rng, max_rel_error
 from caterpillar.train import (
     AdamW,
@@ -32,7 +32,7 @@ def micro_model(seed=0, hw=16, c=8, classes=4):
         num_classes=classes,
         block=BlockConfig(ffn_ratio=2),
     )
-    return build_caterpillar(spec, seed=seed)
+    return build_model(spec, seed=seed)
 
 
 class TestCosineLr:
