@@ -12,7 +12,7 @@ from .data import (
     save_raw_blob,
     synth_blobs,
 )
-from .errors import CaterpillarError
+from .errors import CaterpillarError, StateError
 from .layers import (
     FFN,
     GELU,

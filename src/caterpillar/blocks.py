@@ -145,7 +145,7 @@ class _Parallel:
         if b.cfg.combine == "sum":
             return b.local.backward(dy) + b.smlp.backward(dy)
         if b.cfg.combine == "weighted_sum":
-            lo, gl = b._branches
+            lo, gl = b._take("_branches")
             b.local_scale.grad += np.sum(dy * lo)
             b.global_scale.grad += np.sum(dy * gl)
             da = b.local.backward(b.local_scale.value * dy)

@@ -334,10 +334,16 @@ def cmd_bench(args) -> int:
     ops = ["spc", "conv3x3", "dwconv3x3"] if args.op == "all" else [args.op]
     dtype = np.float64 if args.dtype == "f64" else np.float32
     shape = (args.batch, args.hw, args.hw, args.channels)
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     lines = [
         BENCH_SCHEMA,
         f"# dtype={args.dtype}",
-        f"# threads={os.environ.get('OMP_NUM_THREADS', os.cpu_count())}",
+        # numpy's OpenBLAS reads OPENBLAS_NUM_THREADS first, then OMP_NUM_THREADS
+        *(f"# {var}={os.environ.get(var, 'unset')}"
+          for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")),
+        f"# cpu_count={os.cpu_count()}",
+        f"# numpy={np.__version__}",
+        f"# blas={blas.get('name')} {blas.get('version')}",
         f"# timestamp={time.strftime('%Y-%m-%dT%H:%M:%S')}",
         BENCH_HEADER,
     ]

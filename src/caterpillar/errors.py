@@ -37,6 +37,10 @@ class InsufficientBatchError(CaterpillarError, ValueError):
     """Batch statistics requested over fewer than two elements."""
 
 
+class StateError(CaterpillarError, RuntimeError):
+    """A layer was asked for what its forward did not keep, e.g. a second backward."""
+
+
 def parse_int(text, what: str) -> int:
     """int(text); a non-integer raises ConfigError naming the field `what`."""
     try:

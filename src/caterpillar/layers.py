@@ -4,6 +4,11 @@ There is no tape: every layer caches what its own backward needs, unless
 no backward will follow.  Inside `with no_backward():` the calling thread's
 layers keep nothing (keeping() is False) and drop what an earlier forward
 kept; the switch is per thread, so another thread's forward still keeps.
+A backward consumes what its forward kept (Module._take): it drops each
+cache as it reads it, so a training step's activations are freed layer by
+layer during backward instead of living until the next forward.  That
+allows one backward per forward; a second one, or a backward after a
+forward that kept nothing, raises StateError.
 
 A chain is a Sequential: one ordered list of named layers that forward runs
 left to right, backward right to left, and that also fixes the child names
@@ -23,7 +28,7 @@ import threading
 
 import numpy as np
 
-from .errors import InsufficientBatchError, NumericError, ShapeError
+from .errors import InsufficientBatchError, NumericError, ShapeError, StateError
 from .tensor import Rng, ensure_nhwc, max_rel_error
 
 
@@ -124,6 +129,17 @@ class Module:
 
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(x, training)
+
+    def _take(self, name: str):
+        """The value forward kept under `name`, handed over once: the attribute becomes None."""
+        kept = getattr(self, name, None)
+        if kept is None:
+            raise StateError(
+                f"{type(self).__name__}: backward without a kept forward; each forward "
+                "that keeps (outside no_backward()) allows one backward"
+            )
+        setattr(self, name, None)
+        return kept
 
 
 def trunc_normal_init(rng: Rng, shape: tuple, std: float = 0.02) -> np.ndarray:
@@ -232,7 +248,7 @@ class Linear(Module):
         return out.reshape(x.shape[:-1] + (self.cout,))
 
     def backward(self, dy):
-        x = self._x
+        x = self._take("_x")
         flat_x = x.reshape(-1, self.cin)
         flat_dy = dy.reshape(-1, self.cout)
         self.w.grad += flat_x.T @ flat_dy
@@ -325,7 +341,7 @@ class BatchNorm2d(Module):
         return out.reshape(x.shape)
 
     def backward(self, dy):
-        kept, mean, inv, m = self._cache
+        kept, mean, inv, m = self._take("_cache")
         if m == 0:  # eval forward: the cache holds the input
             rows, k = _wide(kept, self.c)
             centered = rows - np.tile(mean, k)
@@ -372,7 +388,7 @@ class LayerNorm(Module):
         return out
 
     def backward(self, dy):
-        xhat, inv = self._cache
+        xhat, inv = self._take("_cache")
         buf = dy * xhat
         self.gamma.grad += _channel_sum(buf, self.c)
         self.beta.grad += _channel_sum(dy, self.c)
@@ -472,7 +488,8 @@ class GELU(Module):
 
     def backward(self, dy):
         """dy * (phi + x * pdf), one cache-sized chunk at a time like _gelu_f32."""
-        x, phi, flat_dy = self._x.reshape(-1), self._phi.reshape(-1), dy.reshape(-1)
+        x, phi = self._take("_x").reshape(-1), self._take("_phi").reshape(-1)
+        flat_dy = dy.reshape(-1)
         dx = np.empty(flat_dy.shape, np.result_type(dy, x))
         a, b = (np.empty(min(_PHI_CHUNK, x.size), x.dtype) for _ in range(2))
         sqrt_2pi = np.sqrt(2.0 * np.pi).astype(x.dtype)
@@ -506,7 +523,7 @@ class ReLU(Module):
         return np.maximum(x, 0)
 
     def backward(self, dy):
-        return dy * self._mask
+        return dy * self._take("_mask")
 
 
 _FFN_ROWS = 2048  # pillars per block of the streamed FFN forward
@@ -601,7 +618,7 @@ class Conv2d(Module):
         return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * self.cin)
 
     def backward(self, dy):
-        xp, pad, ho, wo = self._cache
+        xp, pad, ho, wo = self._take("_cache")
         s, k = self.stride, self.k
         flat_dy = dy.reshape(-1, self.cout)
         self.w.grad += (self._patches(xp, ho, wo).T @ flat_dy).reshape(self.w.grad.shape)
@@ -652,7 +669,7 @@ class DWConv2d(Module):
         return out
 
     def backward(self, dy):
-        xp, pad, ho, wo = self._cache
+        xp, pad, ho, wo = self._take("_cache")
         dxp = np.zeros_like(xp)
         for di in range(self.k):
             for dj in range(self.k):
@@ -704,7 +721,11 @@ class AvgPool2d(Module):
 
 
 class MaxPool2d(Module):
-    """k x k max pooling with stride and symmetric zero-region padding."""
+    """k x k max pooling with stride and symmetric zero-region padding.
+
+    Forward keeps the window position of each maximum (the first on ties)
+    in the smallest unsigned type that holds k*k - 1: one byte for k = 3.
+    """
 
     def __init__(self, k: int = 3, stride: int = 2, pad: int = 1):
         self.k, self.stride, self.pad = k, stride, pad
@@ -729,18 +750,20 @@ class MaxPool2d(Module):
                 for dj in range(k)
             ]
         )
-        self._arg = stack.argmax(axis=0) if keeping() else None
+        index = np.min_scalar_type(k * k - 1)
+        self._arg = stack.argmax(axis=0).astype(index) if keeping() else None
         self._geom = (x.shape, ho, wo)
         return stack.max(axis=0)
 
     def backward(self, dy):
+        arg = self._take("_arg")
         in_shape, ho, wo = self._geom
         n, h, w, c = in_shape
         k, s, p = self.k, self.stride, self.pad
         dxp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=dy.dtype)
         for idx in range(k * k):
             di, dj = divmod(idx, k)
-            mask = self._arg == idx
+            mask = arg == idx
             dxp[:, di : di + s * ho : s, dj : dj + s * wo : s, :] += dy * mask
         return dxp[:, p : p + h, p : p + w, :]
 

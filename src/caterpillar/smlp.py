@@ -55,7 +55,7 @@ class Smlp(Module):
         return self.fuse(cat, training)
 
     def backward(self, dy):
-        x = self._x
+        x = self._take("_x")
         n, h, w, c = x.shape
         dcat = self.fuse.backward(dy)
         drow = dcat[..., :c].reshape(n * h, w, c)

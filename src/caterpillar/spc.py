@@ -56,7 +56,7 @@ from .errors import (
     ShiftRangeError,
     parse_int,
 )
-from .layers import Linear, Module, _channel_sum, keeping
+from .layers import Linear, Module, _channel_sum, keeping, no_backward
 from .tensor import Rng, ensure_nhwc
 
 DIRECTIONS = (
@@ -369,15 +369,17 @@ class Spc(Module):
         self._x = x if keeping() else None
         n, h, w, _ = x.shape
         z = np.empty((n, h, w, self._mixed), np.result_type(x, *(r.w.value for r in self._reduce)))
-        for k, (plan, ch) in enumerate(zip(self._plans(h, w), self._chans)):
-            lin = self._reduce[k] if self._reduce else None
-            src = x if lin is None else lin(x, training)
-            fill = 0.0 if lin is None else lin.b.value
-            _write_shifted(z[..., ch], src, plan, fill, self.cfg.sums_maps and k > 0)
+        # backward makes the reductions' GEMMs itself, so they keep nothing
+        with no_backward():
+            for k, (plan, ch) in enumerate(zip(self._plans(h, w), self._chans)):
+                lin = self._reduce[k] if self._reduce else None
+                src = x if lin is None else lin(x, training)
+                fill = 0.0 if lin is None else lin.b.value
+                _write_shifted(z[..., ch], src, plan, fill, self.cfg.sums_maps and k > 0)
         return z if self.fuse is None else self.fuse(z, training)
 
     def backward(self, dy):
-        x = self._x
+        x = self._take("_x")
         _, h, w, c = x.shape
         plans = self._plans(h, w)
         dz = dy if self.fuse is None else self.fuse.backward(dy)

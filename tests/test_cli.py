@@ -123,6 +123,23 @@ class TestBench:
         assert len(lines) == 2  # header + exactly one timed row
         assert lines[1].startswith("spc,")
 
+    def test_environment_lines(self, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        code, out, _ = run_cli(
+            capsys, "bench", "--op", "spc", "--channels", "8", "--hw", "6",
+            "--batch", "2", "--reps", "1", "--warmup", "0", "--direction", "fwd",
+        )
+        assert code == 0
+        comments = [l for l in out.splitlines() if l.startswith("# ")]
+        for line in ("# OPENBLAS_NUM_THREADS=1", "# OMP_NUM_THREADS=3", "# MKL_NUM_THREADS=unset",
+                     f"# cpu_count={os.cpu_count()}", f"# numpy={np.__version__}"):
+            assert line in comments
+        blas = [l for l in comments if l.startswith("# blas=")]
+        assert len(blas) == 1
+        assert BENCH_HEADER in out.splitlines()
+
     def test_all_ops_rows_and_macs(self, capsys):
         code, out, _ = run_cli(
             capsys, "bench", "--channels", "8", "--hw", "6", "--batch", "2",

@@ -335,6 +335,35 @@ class TestPoolBackwardPin:
         assert dx.dtype == dtype
         npt.assert_array_equal(dx, expected[:, 1 : 1 + h, 1 : 1 + w, :])
 
+    @pytest.mark.parametrize("k,stride,pad,index", [(3, 2, 1, np.uint8), (17, 3, 8, np.uint16)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxpool_small_index_matches_int64(self, dtype, k, stride, pad, index):
+        """The kept index in its small type gives the int64 argmax's backward.
+
+        On ties, -inf (also whole windows of it) and NaN inputs.
+        """
+        x = np.floor(rand((2, 19, 18, 3), seed=29) * 1.5).astype(dtype)  # many ties
+        x[0, ::4, ::3] = -np.inf
+        x[1, 2:9, 5:12, 0] = -np.inf  # whole windows of -inf
+        x[1, ::5, 1::4, 1] = np.nan
+        pool = MaxPool2d(k, stride, pad)
+        out = pool.forward(x)
+        dy = rand(out.shape, seed=30).astype(dtype)
+        n, h, w, c = x.shape
+        ho, wo = out.shape[1:3]
+        xp = np.full((n, h + 2 * pad, w + 2 * pad, c), -np.inf, dtype)
+        xp[:, pad : pad + h, pad : pad + w] = x
+        s = stride
+        windows = [(di, dj) for di in range(k) for dj in range(k)]
+        stack = np.stack([xp[:, di : di + s * ho : s, dj : dj + s * wo : s] for di, dj in windows])
+        arg = stack.argmax(axis=0)
+        assert arg.dtype == np.int64 and pool._arg.dtype == index
+        npt.assert_array_equal(pool._arg, arg)
+        expected = np.zeros_like(xp)
+        for idx, (di, dj) in enumerate(windows):
+            expected[:, di : di + s * ho : s, dj : dj + s * wo : s] += dy * (arg == idx)
+        npt.assert_array_equal(pool.backward(dy), expected[:, pad : pad + h, pad : pad + w])
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_global_avg_pool_matches_copy(self, dtype):
         gap = GlobalAvgPool()
@@ -365,10 +394,11 @@ class TestGeluLimits:
         x = (rand((40_001,), seed=27) * 6.0).astype(dtype)
         gelu = GELU()
         out = gelu.forward(x)
-        npt.assert_array_equal(out, x * gelu._phi)
+        phi = gelu._phi  # read before backward, which drops it
+        npt.assert_array_equal(out, x * phi)
         dy = rand(x.shape, seed=28).astype(dtype)
         pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi).astype(dtype)
-        npt.assert_array_equal(gelu.backward(dy), dy * (gelu._phi + x * pdf))
+        npt.assert_array_equal(gelu.backward(dy), dy * (phi + x * pdf))
 
 
 class TestGeluTanhBound:

@@ -7,7 +7,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from caterpillar.errors import InsufficientBatchError, ShapeError
+from caterpillar.blocks import BlockConfig, MixerBlock
+from caterpillar.errors import InsufficientBatchError, ShapeError, StateError
 from caterpillar.layers import (
     FFN,
     GELU,
@@ -22,8 +23,10 @@ from caterpillar.layers import (
     Module,
     ReLU,
     finite_diff_check,
+    no_backward,
 )
-from caterpillar.spc import SpcConfig, pillars_shift
+from caterpillar.smlp import Smlp
+from caterpillar.spc import Spc, SpcConfig, pillars_shift
 from caterpillar.tensor import Rng, max_rel_error
 
 
@@ -400,3 +403,48 @@ class TestFiniteDiff:
         bn = BatchNorm2d(4)
         bn.forward(rand((2, 3, 3, 4), 20), training=True)  # populate running stats
         assert finite_diff_check(bn, rand((2, 3, 3, 4), 21), training=False) < 1e-8
+
+
+def _weighted_sum_merge():
+    """The parallel merge of a weighted_sum block: the element that ends its token path."""
+    block = MixerBlock(4, 4, 8, BlockConfig(combine="weighted_sum"), rng=Rng(6))
+    return block.layers[0][1].path.layers[-1][1]
+
+
+# Every layer whose backward reads what its forward kept; the class its error names.
+_KEEPING_LAYERS = {
+    "Linear": (lambda: Linear(8, 5, rng=Rng(1)), "Linear"),
+    "Conv2d": (lambda: Conv2d(3, 8, 6, rng=Rng(2)), "Conv2d"),
+    "DWConv2d": (lambda: DWConv2d(3, 8, rng=Rng(3)), "DWConv2d"),
+    "BatchNorm2d": (lambda: BatchNorm2d(8), "BatchNorm2d"),
+    "LayerNorm": (lambda: LayerNorm(8), "LayerNorm"),
+    "GELU": (GELU, "GELU"),
+    "ReLU": (ReLU, "ReLU"),
+    "MaxPool2d": (lambda: MaxPool2d(3, 2, 1), "MaxPool2d"),
+    "Spc": (lambda: Spc(8, 4, rng=Rng(4)), "Spc"),
+    "Smlp": (lambda: Smlp(4, 4, 8, rng=Rng(5)), "Smlp"),
+    "weighted_sum": (_weighted_sum_merge, "MixerBlock"),
+}
+
+
+class TestBackwardConsumesCache:
+    """A backward takes what its forward kept; a second one finds nothing and says so."""
+
+    @pytest.mark.parametrize("name", sorted(_KEEPING_LAYERS))
+    def test_backward_after_forward_that_kept_nothing(self, name):
+        factory, owner = _KEEPING_LAYERS[name]
+        layer = factory()
+        x = rand((2, 4, 4, 8), seed=50)
+        with no_backward():
+            y = layer(x, True)
+        with pytest.raises(StateError, match=owner):
+            layer.backward(np.ones_like(y))
+
+    @pytest.mark.parametrize("name", sorted(_KEEPING_LAYERS))
+    def test_second_backward(self, name):
+        factory, owner = _KEEPING_LAYERS[name]
+        layer = factory()
+        y = layer(rand((2, 4, 4, 8), seed=51), True)
+        layer.backward(np.ones_like(y))
+        with pytest.raises(StateError, match=owner):
+            layer.backward(np.ones_like(y))

@@ -324,6 +324,20 @@ def _all_model_variants():
             yield f"resnet18-{mixer}-small{small_stem}", build_model(spec)
 
 
+class TestTrainingStepKeepsNothing:
+    def test_backward_consumes_every_cache(self):
+        """After one forward and its backward, no module holds an array for a backward."""
+        for label, model in _all_model_variants():
+            h, w, c = model.spec.input
+            if model.spec.family == "resnet18":
+                h = w = 64  # at 32 px the large stem leaves 1x1 maps, too small to shift
+            x = rand((2, h, w, c), seed=10)
+            out = model.forward(x, training=True)
+            model.backward(rand(out.shape, seed=11))
+            held = [(path, k) for path, m in _walk(model) for k in _kept_arrays(m)]
+            assert held == [], label
+
+
 class TestChildren:
     def test_every_held_module_is_a_listed_child(self):
         # tracing, named_buffers and astype reach only what _children() lists
