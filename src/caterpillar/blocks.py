@@ -157,7 +157,7 @@ class _Parallel:
         return da
 
     def out_shape(self, in_shape):
-        return tuple(in_shape)
+        return self.block.local.out_shape(in_shape)
 
     def macs(self, in_shape):
         b = self.block

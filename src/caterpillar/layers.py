@@ -8,7 +8,10 @@ A backward consumes what its forward kept (Module._take): it drops each
 cache as it reads it, so a training step's activations are freed layer by
 layer during backward instead of living until the next forward.  That
 allows one backward per forward; a second one, or a backward after a
-forward that kept nothing, raises StateError.
+forward that kept nothing, raises StateError.  Each activation is kept
+once: a ReLU keeps its output, the array the next layer keeps as its input;
+a Conv2d keeps its unpadded input; an FFN keeps nothing for fc2 and rebuilds
+fc2's input from the x and phi its GELU keeps.
 
 A chain is a Sequential: one ordered list of named layers that forward runs
 left to right, backward right to left, and that also fixes the child names
@@ -130,14 +133,19 @@ class Module:
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(x, training)
 
-    def _take(self, name: str):
-        """The value forward kept under `name`, handed over once: the attribute becomes None."""
+    def _kept(self, name: str):
+        """The value forward kept under `name`; StateError if it kept nothing."""
         kept = getattr(self, name, None)
         if kept is None:
             raise StateError(
                 f"{type(self).__name__}: backward without a kept forward; each forward "
                 "that keeps (outside no_backward()) allows one backward"
             )
+        return kept
+
+    def _take(self, name: str):
+        """The value forward kept under `name`, handed over once: the attribute becomes None."""
+        kept = self._kept(name)
         setattr(self, name, None)
         return kept
 
@@ -212,7 +220,10 @@ class Residual:
         return self.path.backward(dy) + self.skip.backward(dy)
 
     def out_shape(self, in_shape):
-        return self.post.out_shape(self.path.out_shape(in_shape))
+        mid, skip = self.path.out_shape(in_shape), self.skip.out_shape(in_shape)
+        if mid != skip:
+            raise ShapeError(f"residual: path gives {mid}, skip gives {skip}")
+        return self.post.out_shape(mid)
 
     def macs(self, in_shape):
         mid = self.path.out_shape(in_shape)
@@ -248,7 +259,10 @@ class Linear(Module):
         return out.reshape(x.shape[:-1] + (self.cout,))
 
     def backward(self, dy):
-        x = self._take("_x")
+        return self.backward_at(self._take("_x"), dy)
+
+    def backward_at(self, x, dy):
+        """The backward of a forward on input x, given x instead of a kept copy."""
         flat_x = x.reshape(-1, self.cin)
         flat_dy = dy.reshape(-1, self.cout)
         self.w.grad += flat_x.T @ flat_dy
@@ -486,6 +500,12 @@ class GELU(Module):
         self._phi = phi if keep else None
         return np.maximum(x, np.finfo(phi.dtype).min) * phi
 
+    def kept_output(self) -> np.ndarray:
+        """The kept forward's output, rebuilt from its x and phi by the forward's own float ops."""
+        phi = self._kept("_phi")
+        out = np.maximum(self._kept("_x"), np.finfo(phi.dtype).min)
+        return np.multiply(out, phi, out=out)
+
     def backward(self, dy):
         """dy * (phi + x * pdf), one cache-sized chunk at a time like _gelu_f32."""
         x, phi = self._take("_x").reshape(-1), self._take("_phi").reshape(-1)
@@ -514,16 +534,18 @@ class ReLU(Module):
 
     Forward: NaN stays NaN, -inf and -0.0 map to +0.0, +inf stays +inf.
     Backward is dy * (x > 0): a masked position gives -0.0 where dy is
-    negative, and NaN where dy is NaN or infinite.
+    negative, and NaN where dy is NaN or infinite.  Forward keeps its output
+    y, not a mask: y > 0 exactly where x > 0 (for -0.0, NaN and +-inf too),
+    and the layer after the ReLU keeps the same array as its input.
     """
 
     def forward(self, x, training=False):
-        x = np.asarray(x)
-        self._mask = (x > 0) if keeping() else None
-        return np.maximum(x, 0)
+        y = np.maximum(x, 0)
+        self._y = y if keeping() else None
+        return y
 
     def backward(self, dy):
-        return dy * self._take("_mask")
+        return dy * (self._take("_y") > 0)
 
 
 _FFN_ROWS = 2048  # pillars per block of the streamed FFN forward
@@ -532,8 +554,11 @@ _FFN_ROWS = 2048  # pillars per block of the streamed FFN forward
 class FFN(Sequential):
     """Channel-mixing block: per-pillar Linear -> GELU -> Linear.
 
-    With no backward to follow (keeping() is False) forward runs the chain
-    over blocks of _FFN_ROWS pillars into one output, so a block's
+    A forward that keeps runs fc2 under no_backward(): fc2's input, the GELU
+    output, is max(x, lowest) * phi of the x and phi that GELU keeps, so
+    backward rebuilds it (GELU.kept_output) instead of holding it a second
+    time.  With no backward to follow (keeping() is False) forward runs the
+    chain over blocks of _FFN_ROWS pillars into one output, so a block's
     ratio*c-wide hidden activation stays in cache.  Each block goes through
     the layers' own forward.
     """
@@ -544,11 +569,16 @@ class FFN(Sequential):
         rng = rng or Rng(0)
         self.fc1 = Linear(c, ratio * c, rng=rng)
         self.fc2 = Linear(ratio * c, c, rng=rng)
-        super().__init__([("fc1", self.fc1), ("act", GELU()), ("fc2", self.fc2)])
+        self.act = GELU()
+        super().__init__([("fc1", self.fc1), ("act", self.act), ("fc2", self.fc2)])
 
     def forward(self, x, training=False):
         x = np.asarray(x)
-        if keeping() or x.size <= _FFN_ROWS * x.shape[-1]:
+        if keeping():
+            hidden = self.act(self.fc1(x, training), training)
+            with no_backward():
+                return self.fc2(hidden, training)
+        if x.size <= _FFN_ROWS * x.shape[-1]:
             return super().forward(x, training)
         flat = x.reshape(-1, x.shape[-1])
         out = None
@@ -558,6 +588,10 @@ class FFN(Sequential):
                 out = np.empty((len(flat), y.shape[1]), y.dtype)
             out[start : start + len(y)] = y
         return out.reshape(x.shape[:-1] + out.shape[1:])
+
+    def backward(self, dy):
+        dy = self.fc2.backward_at(self.act.kept_output(), dy)
+        return self.fc1.backward(self.act.backward(dy))
 
 
 def _conv_geometry(h, w, k, stride, padding):
@@ -578,8 +612,17 @@ def _conv_geometry(h, w, k, stride, padding):
     return pad, ho, wo
 
 
+def _pad_hw(x, pad):
+    """x zero-padded by `pad` on both sides of H and W; x itself when pad is 0."""
+    return np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
+
+
 class Conv2d(Module):
-    """Standard cross-correlation, kernel (k, k, cin, cout), zero padding."""
+    """Standard cross-correlation, kernel (k, k, cin, cout), zero padding.
+
+    Forward keeps its unpadded input, often the array the layer before it
+    keeps or returned, and backward pads it again (an exact copy).
+    """
 
     def __init__(
         self,
@@ -602,11 +645,10 @@ class Conv2d(Module):
         if c != self.cin:
             raise ShapeError(f"conv: input channels {c} != cin {self.cin}")
         pad, ho, wo = _conv_geometry(h, w, self.k, self.stride, self.padding)
-        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
-        self._cache = (xp, pad, ho, wo) if keeping() else None
+        self._cache = (x, pad, ho, wo) if keeping() else None
         # One GEMM over all taps: with cin = 3 (the stems) a GEMM per tap has
         # an inner dimension of 3.
-        out = self._patches(xp, ho, wo) @ self.w.value.reshape(-1, self.cout)
+        out = self._patches(_pad_hw(x, pad), ho, wo) @ self.w.value.reshape(-1, self.cout)
         out += self.b.value
         return out.reshape(n, ho, wo, self.cout)
 
@@ -618,13 +660,26 @@ class Conv2d(Module):
         return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * self.cin)
 
     def backward(self, dy):
-        xp, pad, ho, wo = self._take("_cache")
+        x, pad, ho, wo = self._take("_cache")
+        xp = _pad_hw(x, pad)
+        n, h, w, cin = x.shape
         s, k = self.stride, self.k
         flat_dy = dy.reshape(-1, self.cout)
         self.w.grad += (self._patches(xp, ho, wo).T @ flat_dy).reshape(self.w.grad.shape)
         self.b.grad += flat_dy.sum(axis=0)
-        dpatch = flat_dy @ self.w.value.reshape(-1, self.cout).T
-        dpatch = dpatch.reshape(-1, ho, wo, k, k, self.cin)
+        w2d = self.w.value.reshape(-1, self.cout)
+        if cin < wo and s < k:
+            # Overlapping taps scatter-add into dxp.  Channel-first, each tap adds
+            # runs of Wo pillars rather than of cin channels: on the cin = 3
+            # stems that is several times faster.
+            dpatch = (w2d @ flat_dy.T).reshape(k, k, cin, n, ho, wo)
+            dxp = np.zeros((cin, n) + xp.shape[1:3], xp.dtype)
+            for di in range(k):
+                for dj in range(k):
+                    dxp[:, :, di : di + s * ho : s, dj : dj + s * wo : s] += dpatch[di, dj]
+            dx = dxp[:, :, pad : pad + h, pad : pad + w].transpose(1, 2, 3, 0)
+            return np.ascontiguousarray(dx)
+        dpatch = (flat_dy @ w2d.T).reshape(-1, ho, wo, k, k, cin)
         dxp = np.zeros_like(xp)
         for di in range(k):
             for dj in range(k):
@@ -691,11 +746,8 @@ class AvgPool2d(Module):
 
     def forward(self, x, training=False):
         x = ensure_nhwc(x, "avgpool input")
-        n, h, w, c = x.shape
+        _, ho, wo, _ = self.out_shape(x.shape)
         k = self.k
-        ho, wo = h // k, w // k
-        if ho < 1 or wo < 1:
-            raise ShapeError(f"avgpool: window {k} larger than input {(h, w)}")
         self._cache = (x.shape, ho, wo)
         out = x[:, : ho * k : k, : wo * k : k].copy()
         for t in range(1, k * k):
@@ -717,7 +769,10 @@ class AvgPool2d(Module):
         return dx
 
     def out_shape(self, in_shape):
-        return (in_shape[0], in_shape[1] // self.k, in_shape[2] // self.k, in_shape[3])
+        n, h, w, c = in_shape
+        if h < self.k or w < self.k:
+            raise ShapeError(f"avgpool: window {self.k} larger than input {(h, w)}")
+        return (n, h // self.k, w // self.k, c)
 
 
 class MaxPool2d(Module):

@@ -29,7 +29,8 @@ from typing import ClassVar
 import numpy as np
 
 from .blocks import BlockConfig, MixerBlock, block_param_count
-from .errors import BuildError, ConfigError, FormatError, ShapeError, parse_int, parse_ints
+from .errors import BuildError, CaterpillarError, ConfigError, FormatError, ShapeError
+from .errors import parse_int, parse_ints
 from .layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -132,23 +133,14 @@ class ModelSpec:
                     down = 1  # odd extent: keep resolution, still double channels
             else:
                 down = 0
-            if h < 1 or w < 1:
-                raise BuildError(f"stage {idx}: spatial extent fell below 1")
             cfg = self.block
-            if cfg.local_mixer == "spc":
-                moving = [d for d in cfg.spc.directions if d != "center"]
-                if moving and cfg.spc.steps >= min(h, w):
+            if cfg.local_mixer == "spc" and cfg.spc.reduces_channels:
+                nd = cfg.spc.n_directions
+                if width % nd != 0:
                     raise BuildError(
-                        f"stage {idx}: extent {h}x{w} too small for shift steps "
-                        f"{cfg.spc.steps}"
+                        f"stage {idx}: width {width} not divisible by {nd} shift "
+                        f"directions required by mixing {cfg.spc.mixing!r}"
                     )
-                if cfg.spc.reduces_channels:
-                    nd = cfg.spc.n_directions
-                    if width % nd != 0:
-                        raise BuildError(
-                            f"stage {idx}: width {width} not divisible by {nd} shift "
-                            f"directions required by mixing {cfg.spc.mixing!r}"
-                        )
             plan.append({"h": h, "w": w, "c": width, "depth": depth, "down": down})
         return plan
 
@@ -473,10 +465,32 @@ class ResNetModel(_Chain):
 
 
 def build_model(spec: "ModelSpec | ResnetSpec", seed: int = 0) -> Module:
-    """The model a spec describes, with its weights drawn from seed."""
+    """The model a spec describes, with its weights drawn from seed.
+
+    A pyramid runs only on its spec's input extent (each Smlp mixes a fixed
+    H x W), so check_extents runs here.  A resnet runs on any extent its
+    layers admit, which check_extents tests for the spec's input.
+    """
     if isinstance(spec, ModelSpec):
-        return CaterpillarModel(spec, seed=seed)
+        model = CaterpillarModel(spec, seed=seed)
+        check_extents(model)
+        return model
     return ResNetModel(spec, seed=seed)
+
+
+def check_extents(model: _Chain) -> None:
+    """BuildError naming the first layer that cannot run on one image of the spec's input.
+
+    Walks the layers' out_shape, which raises the typed error a forward on
+    that shape would raise (or, for a residual whose path and skip shapes
+    differ, would fail with).
+    """
+    shape = (1,) + tuple(model.spec.input)
+    for name, layer in model.layers:
+        try:
+            shape = layer.out_shape(shape)
+        except CaterpillarError as exc:
+            raise BuildError(f"{name}: {exc}") from None
 
 
 def local_mixer_param_count(d_in: int, d_out: int, kind: str, k: int = 3) -> int:

@@ -403,6 +403,7 @@ class Spc(Module):
         return (flat_du @ w_all.T).reshape(x.shape)
 
     def out_shape(self, in_shape):
+        self._plans(in_shape[1], in_shape[2])  # raises what forward would on this extent
         return tuple(in_shape[:3]) + (self.cout,)
 
     def macs(self, in_shape):

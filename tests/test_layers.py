@@ -424,6 +424,7 @@ _KEEPING_LAYERS = {
     "Spc": (lambda: Spc(8, 4, rng=Rng(4)), "Spc"),
     "Smlp": (lambda: Smlp(4, 4, 8, rng=Rng(5)), "Smlp"),
     "weighted_sum": (_weighted_sum_merge, "MixerBlock"),
+    "FFN": (lambda: FFN(8, 2, rng=Rng(7)), "GELU"),  # fc2's input is rebuilt from what GELU keeps
 }
 
 

@@ -28,6 +28,8 @@ from caterpillar.models import (
 )
 from caterpillar.models import _BasicBlock
 from caterpillar.layers import Linear, Module, Sequential, finite_diff_check, no_backward
+from caterpillar.layers import FFN, Conv2d, ReLU
+from caterpillar.models import CaterpillarModel, ResNetModel, check_extents
 from caterpillar.spc import DIRECTION_PRESETS, MIXING_WAYS, PADDING_MODES, SpcConfig, split_pairs
 from caterpillar.tensor import Rng
 
@@ -338,6 +340,48 @@ class TestTrainingStepKeepsNothing:
             assert held == [], label
 
 
+def _arrays_held(module) -> list[np.ndarray]:
+    """The arrays behind _kept_arrays(module), tuples unpacked."""
+    out, stack = [], [getattr(module, k) for k in _kept_arrays(module)]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, np.ndarray):
+            out.append(value)
+        elif isinstance(value, (tuple, list)):
+            stack.extend(value)
+    return out
+
+
+class TestEachActivationKeptOnce:
+    """A training forward holds no array that another kept array already fixes."""
+
+    @pytest.mark.parametrize("name", ["resnet18-spc", "resnet18-conv3x3", "micro"])
+    def test_relu_conv2d_and_fc2_keep_no_copy(self, name):
+        if name == "micro":
+            model, x = build_model(MICRO), rand((2, 16, 16, 3), seed=12)
+        else:
+            model = build_model(ResnetSpec(8, name.split("-")[1], 4, (64, 64, 3)))
+            x = rand((2, 64, 64, 3), seed=12)
+        calls = {}  # id(layer) -> (input, output) of its forward
+        watched = [m for _, m in _walk(model) if isinstance(m, (ReLU, Conv2d))]
+        for m in watched:
+            def forward(a, training=False, m=m, inner=m.forward):
+                calls[id(m)] = (a, inner(a, training))
+                return calls[id(m)][1]
+
+            m.forward = forward
+        model.forward(x, training=True)
+        for m in watched:
+            del m.forward
+        for m in watched:
+            a, y = calls[id(m)]
+            held = _arrays_held(m)
+            assert len(held) == 1 and held[0] is (y if isinstance(m, ReLU) else a), type(m)
+        ffns = [m for _, m in _walk(model) if isinstance(m, FFN)]
+        assert all(_kept_arrays(m.fc2) == [] for m in ffns)
+        assert watched and bool(ffns) == (name == "micro")
+
+
 class TestChildren:
     def test_every_held_module_is_a_listed_child(self):
         # tracing, named_buffers and astype reach only what _children() lists
@@ -473,6 +517,65 @@ class TestBasicBlock:
             mix = p_in * (cin * cin + cin * cout) + p_out * 2 * cout * cout
         short = 0 if (cin, stride) == (cout, 1) else p_out * (cin * cout + cout)
         assert block.macs((n, h, h, cin)) == mix + 2 * p_out * cout + short
+
+
+_DIRECTION_SETS = [
+    DIRECTION_PRESETS[4], DIRECTION_PRESETS[8], ("up", "down"), ("left", "right"),
+    ("up-left", "down-right"), ("up", "center"),
+]
+
+
+@st.composite
+def extent_specs(draw):
+    """Small pyramid and resnet specs over input extent, shift steps, padding and directions."""
+    spc = SpcConfig(
+        directions=draw(st.sampled_from(_DIRECTION_SETS)),
+        steps=draw(st.integers(0, 3)),
+        padding=draw(st.sampled_from(PADDING_MODES)),
+    )
+    if draw(st.booleans()):
+        extent = st.integers(1, 40)
+        return ResnetSpec(
+            8, draw(st.sampled_from(["spc", "conv3x3"])), 3, (draw(extent), draw(extent), 1),
+            small_stem=draw(st.booleans()), spc=spc,
+        )
+    extent = st.integers(1, 20)
+    return dataclasses.replace(
+        MICRO, input=(draw(extent), draw(extent), 1), block=BlockConfig(ffn_ratio=1, spc=spc)
+    )
+
+
+class TestBuildChecksExtents:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(extent_specs())
+    def test_builds_exactly_when_one_image_runs(self, spec):
+        """build_model (and, for a resnet, check_extents) fails exactly when a forward must."""
+        pyramid = isinstance(spec, ModelSpec)
+        unchecked = (CaterpillarModel if pyramid else ResNetModel)(spec)
+        try:
+            unchecked.forward(rand((1,) + spec.input, seed=13))
+            runs = True
+        except (CaterpillarError, ValueError):
+            runs = False
+        try:
+            model = build_model(spec)
+            if not pyramid:  # a resnet is not bound to its spec's input
+                check_extents(model)
+            builds = True
+        except BuildError:
+            builds = False
+        assert builds == runs
+
+    def test_error_names_the_layer(self):
+        reflect = dataclasses.replace(MICRO, block=BlockConfig(spc=SpcConfig(padding="reflect")))
+        with pytest.raises(BuildError, match=r"^stage4\.block1: spc shift: reflect"):
+            build_model(reflect)
+        large_stem = build_model(ResnetSpec(8, "spc", 4, (32, 32, 3), small_stem=False))
+        with pytest.raises(BuildError, match=r"^stage4\.block1: spc shift"):
+            check_extents(large_stem)
+        odd = build_model(ResnetSpec(8, "spc", 4, (20, 20, 3)))
+        with pytest.raises(BuildError, match=r"^stage4\.block1: residual: path gives"):
+            check_extents(odd)
 
 
 class TestSerialization:
