@@ -17,7 +17,7 @@ from caterpillar.cli import (
 )
 from caterpillar.blocks import BlockConfig
 from caterpillar.data import synth_blobs
-from caterpillar.models import ModelSpec, build_model, save_checkpoint
+from caterpillar.models import ModelSpec, ResnetSpec, build_model, save_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -608,3 +608,29 @@ class TestFlagsMatchSpecFiles:
         assert code == 0
         assert parse_total_params(out) == parse_total_params(flag_out)
         assert total_macs(out) == total_macs(flag_out) < 556_037_120
+
+
+class TestExtentErrors:
+    """A spec whose layers cannot run on its input exits 2 naming the layer, before any step."""
+
+    def test_reflect_pyramid(self, capsys):
+        flags = (*MICRO_FLAGS, "--spc-config", "padding=reflect")
+        for argv in (("paramcount", *flags),
+                     ("train", *flags, "--data-synth", "0,8,16,16,3,4", "--steps", "1", "--batch-size", "8")):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2 and err.startswith("error: stage4.block1: spc shift: reflect"), argv
+            assert len(err.strip().splitlines()) == 1
+
+    def test_large_stem_resnet_at_32px(self, capsys, tmp_path):
+        spec = tmp_path / "r18.spec"
+        spec.write_text("[model]\nfamily=resnet18\nn_c=8\nlocal_mixer=spc\ninput=32,32,3\n"
+                        "num_classes=4\nsmall_stem=no\n")
+        ckpt = tmp_path / "r18.ckpt"
+        save_checkpoint(str(ckpt), build_model(ResnetSpec(8, "spc", 4, (32, 32, 3), small_stem=False)))
+        data = ("--data-synth", "0,8,32,32,3,4")
+        for argv in (("paramcount", "--spec-file", str(spec)),
+                     ("train", "--spec-file", str(spec), *data, "--steps", "1", "--batch-size", "8"),
+                     ("eval", "--checkpoint", str(ckpt), *data)):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2 and err.startswith("error: stage4.block1: spc shift"), argv
+            assert len(err.strip().splitlines()) == 1
