@@ -106,8 +106,21 @@ class Module:
             yield from child.named_buffers(f"{prefix}.{name}" if prefix else name)
 
     def zero_grad(self):
-        for p in self.parameters():
-            p.grad = np.zeros_like(p.value)
+        """Fresh zero gradients: one buffer per dtype, each Parameter.grad a view of it.
+
+        One allocation instead of one per parameter: after a training forward
+        it does not land in the holes the forward left, so it stays above the
+        activations backward frees and the heap is not handed back to the
+        system during backward, to be faulted in again by the next forward.
+        """
+        params = list(self.parameters())
+        for dtype in dict.fromkeys(p.value.dtype for p in params):
+            group = [p for p in params if p.value.dtype == dtype]
+            flat = np.zeros(sum(p.value.size for p in group), dtype)
+            at = 0
+            for p in group:
+                p.grad = flat[at : at + p.value.size].reshape(p.value.shape)
+                at += p.value.size
 
     def astype(self, dtype) -> "Module":
         for p in self.parameters():
@@ -668,10 +681,11 @@ class Conv2d(Module):
         self.w.grad += (self._patches(xp, ho, wo).T @ flat_dy).reshape(self.w.grad.shape)
         self.b.grad += flat_dy.sum(axis=0)
         w2d = self.w.value.reshape(-1, self.cout)
-        if cin < wo and s < k:
+        if s < k:
             # Overlapping taps scatter-add into dxp.  Channel-first, each tap adds
             # runs of Wo pillars rather than of cin channels: on the cin = 3
-            # stems that is several times faster.
+            # stems that is several times faster.  Taps that do not overlap
+            # (stride >= k, the patch embeddings) write dxp once per tap below.
             dpatch = (w2d @ flat_dy.T).reshape(k, k, cin, n, ho, wo)
             dxp = np.zeros((cin, n) + xp.shape[1:3], xp.dtype)
             for di in range(k):

@@ -2,11 +2,13 @@ import dataclasses
 import hashlib
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import example
 from hypothesis import strategies as st
 
 from caterpillar.blocks import COMBINE_STRATEGIES, LOCAL_MIXERS, BlockConfig
@@ -28,7 +30,8 @@ from caterpillar.models import (
 )
 from caterpillar.models import _BasicBlock
 from caterpillar.layers import Linear, Module, Sequential, finite_diff_check, no_backward
-from caterpillar.layers import FFN, Conv2d, ReLU
+from caterpillar.errors import ShapeError
+from caterpillar.layers import FFN, Conv2d, ReLU, Residual
 from caterpillar.models import CaterpillarModel, ResNetModel, check_extents
 from caterpillar.spc import DIRECTION_PRESETS, MIXING_WAYS, PADDING_MODES, SpcConfig, split_pairs
 from caterpillar.tensor import Rng
@@ -545,15 +548,32 @@ def extent_specs(draw):
     )
 
 
+def _residual_without_broadcast(self, x, training=False):
+    """Residual.__call__, except that a path and skip of different shapes fail."""
+    mid, skip = self.path(x, training), self.skip(x, training)
+    if mid.shape != skip.shape:
+        raise ShapeError(f"residual broadcasts {mid.shape} against {skip.shape}")
+    return self.post(mid + skip, training)
+
+
 class TestBuildChecksExtents:
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(extent_specs())
+    # Stride-2 SPC block at extent 3: AvgPool's floor gives the path 1x1, the
+    # 1x1 stride-2 shortcut's ceil gives 2x2, and numpy would broadcast them.
+    @example(ResnetSpec(8, "spc", 3, (12, 12, 1), spc=SpcConfig(steps=0)))
     def test_builds_exactly_when_one_image_runs(self, spec):
-        """build_model (and, for a resnet, check_extents) fails exactly when a forward must."""
+        """build_model (and, for a resnet, check_extents) fails exactly when a forward must.
+
+        The forward counts a residual whose path and skip differ in shape as
+        a failure, although numpy may broadcast them: the sum is not the
+        block's output then.
+        """
         pyramid = isinstance(spec, ModelSpec)
         unchecked = (CaterpillarModel if pyramid else ResNetModel)(spec)
         try:
-            unchecked.forward(rand((1,) + spec.input, seed=13))
+            with mock.patch.object(Residual, "__call__", _residual_without_broadcast):
+                unchecked.forward(rand((1,) + spec.input, seed=13))
             runs = True
         except (CaterpillarError, ValueError):
             runs = False
