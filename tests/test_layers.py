@@ -449,3 +449,19 @@ class TestBackwardConsumesCache:
         layer.backward(np.ones_like(y))
         with pytest.raises(StateError, match=owner):
             layer.backward(np.ones_like(y))
+
+
+class TestZeroGrad:
+    def test_each_gradient_is_its_own_zeroed_array(self):
+        """zero_grad shares one buffer per dtype; no two gradients may overlap in it."""
+        block = MixerBlock(4, 4, 8, BlockConfig(ffn_ratio=2), rng=Rng(3))
+        params = list(block.parameters())
+        params[0].value = params[0].value.astype(np.float32)
+        block.zero_grad()
+        for p in params:
+            assert p.grad.shape == p.value.shape and p.grad.dtype == p.value.dtype
+            assert not p.grad.any()
+        for i, p in enumerate(params):
+            p.grad += i + 1
+        for i, p in enumerate(params):
+            assert (p.grad == i + 1).all()
