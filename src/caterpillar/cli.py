@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import resource
 import sys
 import time
 
@@ -352,6 +353,7 @@ def cmd_bench(args) -> int:
     ]
     directions = ("fwd", "fwd+bwd") if args.direction == "both" else (args.direction,)
     mac_values = {}
+    faults = []  # "# " lines after the rows: minor page faults per timed rep of each row
     for op in ops:
         layer = _bench_target(op, args.channels, Rng(args.seed)).astype(dtype)
         x = Rng(args.seed + 1).normal(int(np.prod(shape))).reshape(shape).astype(dtype)
@@ -366,15 +368,21 @@ def cmd_bench(args) -> int:
                     layer.backward(y)
             for _ in range(args.warmup):
                 body()
+            minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
             for _ in range(args.reps):
                 body()
             wall = time.perf_counter() - t0
+            minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
+            faults.append(f"# minor_faults_per_rep {op},{direction}={minflt / args.reps:.2f}")
             ips = args.batch * args.reps / wall if wall > 0 else float("inf")
             lines.append(
                 f"{op},{cfg_text},{'x'.join(str(d) for d in shape)},{direction},"
                 f"{wall:.6f},{ips:.2f},{macs}"
             )
+    lines += faults
+    # ru_maxrss is in KiB on Linux
+    lines.append(f"# peak_rss_mb={resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}")
     if "spc" in mac_values and "conv3x3" in mac_values:
         ratio = mac_values["conv3x3"] / mac_values["spc"]
         print(f"analytic MACs/map at d={args.channels}: conv3x3/spc = {ratio:.2f}")

@@ -59,14 +59,30 @@ def no_backward():
 
 
 class Parameter:
-    """A named weight array paired with a same-shaped gradient accumulator."""
+    """A named weight array paired with a same-shaped gradient accumulator.
 
-    __slots__ = ("value", "grad", "weight_decay")
+    The gradient is allocated on its first read, as zeros of the value's
+    shape and dtype, so a model that only runs forwards holds no gradients.
+    Assigning an array or None replaces it.
+    """
+
+    __slots__ = ("value", "_grad", "weight_decay")
 
     def __init__(self, value: np.ndarray, weight_decay: bool = True):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self._grad = None
         self.weight_decay = weight_decay
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, grad: np.ndarray | None):
+        self._grad = grad
+
 
 
 class Module:
@@ -123,9 +139,11 @@ class Module:
                 at += p.value.size
 
     def astype(self, dtype) -> "Module":
+        """Cast parameters, the gradients read so far, and buffers to dtype."""
         for p in self.parameters():
             p.value = p.value.astype(dtype)
-            p.grad = p.grad.astype(dtype)
+            if p._grad is not None:
+                p.grad = p._grad.astype(dtype)
         for _, owner, name in self.named_buffers():
             setattr(owner, name, getattr(owner, name).astype(dtype))
         return self
@@ -268,7 +286,8 @@ class Linear(Module):
         self._x = x if keeping() else None
         # One 2-D GEMM over all pillars: a 4-D matmul would run one small GEMM per (n, h) row.
         out = x.reshape(-1, self.cin) @ self.w.value
-        out += self.b.value
+        rows, k = _wide(out, self.cout)
+        rows += np.tile(self.b.value, k)
         return out.reshape(x.shape[:-1] + (self.cout,))
 
     def backward(self, dy):
@@ -746,7 +765,7 @@ class DWConv2d(Module):
                 self.w.grad[di, dj] += (patch * dy).sum(axis=(0, 1, 2))
                 dxp[:, di : di + ho, dj : dj + wo, :] += dy * self.w.value[di, dj]
         self.b.grad += dy.sum(axis=(0, 1, 2))
-        return dxp[:, pad:-pad, pad:-pad, :]
+        return dxp[:, pad : pad + ho, pad : pad + wo, :]
 
     def macs(self, in_shape):
         return int(np.prod(in_shape)) * self.k * self.k

@@ -408,13 +408,7 @@ class _BasicBlock(Sequential):
     """resnet18 basic block: one Residual unit; the two 3x3 convs may be shift mixers."""
 
     def __init__(self, cin: int, cout: int, stride: int, spec: ResnetSpec, rng: Rng):
-        use_spc = spec.local_mixer == "spc"
-        if use_spc and (cin % spec.spc.n_directions or cout % spec.spc.n_directions):
-            raise BuildError(
-                f"resnet block {cin}->{cout}: width not divisible by "
-                f"{spec.spc.n_directions} shift directions"
-            )
-        if use_spc:
+        if spec.local_mixer == "spc":
             mix1 = Spc(cin, cout, cfg=spec.spc, rng=rng)
             if stride == 2:
                 # stride-2 stand-in for a strided conv: shift mixer, 2x2 mean pool
@@ -454,10 +448,12 @@ class ResNetModel(_Chain):
         stage_ends = []
         prev = nc
         for s, cout in enumerate((nc, 2 * nc, 4 * nc, 8 * nc), start=1):
-            layers += [
-                (f"stage{s}.block1", _BasicBlock(prev, cout, 1 if s == 1 else 2, spec, rng)),
-                (f"stage{s}.block2", _BasicBlock(cout, cout, 1, spec, rng)),
-            ]
+            for name, cin, block_stride in ((f"stage{s}.block1", prev, 1 if s == 1 else 2),
+                                            (f"stage{s}.block2", cout, 1)):
+                try:
+                    layers.append((name, _BasicBlock(cin, cout, block_stride, spec, rng)))
+                except ConfigError as exc:  # an Spc that cannot take this block's widths
+                    raise BuildError(f"{name}: {exc}") from None
             stage_ends.append(len(layers) - 1)
             prev = cout
         layers += [("pool", GlobalAvgPool()), ("fc", Linear(prev, spec.num_classes, rng=rng))]
@@ -631,17 +627,17 @@ def load_checkpoint(path: str, dtype=np.float32) -> Module:
     if set(entries) != set(params) | {n for n, _, _ in model.named_buffers()}:
         raise FormatError(f"checkpoint {path}: tensor names do not match the spec's model")
 
-    def stored(name, like):
+    def restore(name, into):
+        """Write the stored tensor into the model's array, cast to its dtype."""
         shape, offset = entries[name]
-        if shape != like.shape:
+        if shape != into.shape:
             raise FormatError(
-                f"checkpoint {path}: {name} has shape {shape}, the spec's model {like.shape}"
+                f"checkpoint {path}: {name} has shape {shape}, the spec's model {into.shape}"
             )
-        return data[offset : offset + like.size].reshape(shape).astype(dtype)
+        into[...] = data[offset : offset + into.size].reshape(shape)
 
     for name, p in params.items():
-        p.value = stored(name, p.value)
-        p.grad = np.zeros_like(p.value)
+        restore(name, p.value)
     for name, owner, attr in model.named_buffers():
-        setattr(owner, attr, stored(name, getattr(owner, attr)))
+        restore(name, getattr(owner, attr))
     return model

@@ -139,6 +139,14 @@ class TestBench:
         blas = [l for l in comments if l.startswith("# blas=")]
         assert len(blas) == 1
         assert BENCH_HEADER in out.splitlines()
+        # after the rows: minor page faults per timed rep of each row, then the peak RSS
+        lines = out.splitlines()
+        row = next(i for i, l in enumerate(lines) if l.startswith("spc,"))
+        faults = [i for i, l in enumerate(lines) if l.startswith("# minor_faults_per_rep spc,fwd=")]
+        rss = [i for i, l in enumerate(lines) if l.startswith("# peak_rss_mb=")]
+        assert len(faults) == 1 and len(rss) == 1 and row < faults[0] < rss[0]
+        assert float(lines[faults[0]].split("=")[1]) >= 0
+        assert float(lines[rss[0]].split("=")[1]) > 0
 
     def test_all_ops_rows_and_macs(self, capsys):
         code, out, _ = run_cli(

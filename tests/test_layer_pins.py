@@ -292,6 +292,16 @@ class TestLinearBiasPin:
         lin.backward(dy)
         close(lin.b.grad, dy.reshape(-1, 6).sum(axis=0))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, cout", [((32768, 16), 8), ((2, 3, 5, 6), 4), ((40, 8), 3000)])
+    def test_forward_bias_on_wide_view(self, dtype, shape, cout):
+        """The bias added on the _wide view: each element gets the same sum as x @ w + b."""
+        lin = Linear(shape[-1], cout, rng=Rng(43)).astype(dtype)
+        lin.b.value[...] = rand((cout,), seed=44)
+        x = rand(shape, seed=45).astype(dtype)
+        expected = (x.reshape(-1, shape[-1]) @ lin.w.value + lin.b.value).reshape(shape[:-1] + (cout,))
+        npt.assert_array_equal(lin.forward(x), expected)
+
 
 class TestAvgPoolPin:
     """Strided-add forward and broadcast-write backward against the reshape-mean formula."""

@@ -394,6 +394,7 @@ class TestFiniteDiff:
             (lambda: GELU(), 1e-4),
             (lambda: ReLU(), 1e-4),
             (lambda: FFN(8, 2, rng=Rng(4)), 1e-4),
+            (lambda: DWConv2d(1, 8, rng=Rng(3)), 1e-8),
         ],
     )
     def test_layer_gradients(self, factory, tol):
@@ -465,3 +466,23 @@ class TestZeroGrad:
             p.grad += i + 1
         for i, p in enumerate(params):
             assert (p.grad == i + 1).all()
+
+
+class TestGradientOnFirstRead:
+    def test_first_read_is_zeros_like_the_value(self):
+        lin = Linear(6, 4, rng=Rng(1)).astype(np.float32)
+        assert lin.w._grad is None
+        grad = lin.w.grad
+        assert grad.shape == (6, 4) and grad.dtype == np.float32 and not grad.any()
+        assert lin.w.grad is grad
+        lin.w.grad = None
+        assert lin.w._grad is None
+
+    def test_astype_casts_only_the_gradients_read(self):
+        block = MixerBlock(4, 4, 8, BlockConfig(ffn_ratio=2), rng=Rng(3))
+        params = list(block.parameters())
+        params[0].grad += 1.0
+        block.astype(np.float32)
+        assert params[0].grad.dtype == np.float32 and (params[0].grad == 1.0).all()
+        assert all(p._grad is None for p in params[1:])
+        assert all(p.value.dtype == np.float32 for p in params)

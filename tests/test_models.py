@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -482,6 +483,12 @@ class TestResnet:
         with pytest.raises(BuildError, match="divisible"):
             build_model(ResnetSpec(6, "spc", 10, (32, 32, 3)))
 
+    def test_spc_config_error_names_the_block(self):
+        with pytest.raises(BuildError, match=r"^stage1\.block1: spc: .*divisible"):
+            build_model(ResnetSpec(6, "spc", 10, (32, 32, 3)))
+        with pytest.raises(BuildError, match=r"^stage2\.block1: spc: .*cannot emit"):
+            build_model(ResnetSpec(8, "spc", 10, (32, 32, 3), spc=SpcConfig(mixing="sum")))
+
     def test_small_stem_auto(self):
         assert ResnetSpec(input=(32, 32, 3)).small_stem is True
         assert ResnetSpec(input=(224, 224, 3)).small_stem is False
@@ -649,6 +656,40 @@ class TestSerialization:
         loaded = load_checkpoint(str(path))
         x = rand((1, 16, 16, 3), 8).astype(np.float32)
         npt.assert_array_equal(model.forward(x), loaded.forward(x))
+
+
+class TestGradientsOnDemand:
+    """A Parameter allocates its gradient on the first read, so an eval holds no gradients."""
+
+    def test_eval_holds_the_weights_and_no_gradients(self):
+        spec = ModelSpec(variant="custom", base_width=32, depths=(1, 1, 1, 1), patch_size=2,
+                         input=(32, 32, 3), num_classes=10)
+        x = rand((2, 32, 32, 3), 30).astype(np.float32)
+        tracemalloc.start()
+        try:
+            model = build_model(spec, seed=0).astype(np.float32)
+            model.forward(x)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        weights = sum(p.value.nbytes for p in model.parameters())
+        assert weights > 4 << 20
+        # The margin covers the modules' Python objects, buffers and logits; a
+        # gradient per parameter would add the weights' bytes again.
+        assert held < weights + weights // 4
+        assert all(p._grad is None for p in model.parameters())
+
+    def test_checkpoint_load_allocates_no_gradient(self, tmp_path):
+        model = build_model(MICRO, seed=5).astype(np.float32)
+        model.zero_grad()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), model)
+        loaded = load_checkpoint(str(path))
+        assert all(p._grad is None for p in loaded.parameters())
+        for (_, a), (_, b) in zip(model.named_parameters(), loaded.named_parameters()):
+            npt.assert_array_equal(a.value, b.value)
+            assert b.grad.dtype == np.float32 and b.grad.shape == b.value.shape
+            assert not b.grad.any()
 
 
 def _header_sha256(path) -> str:
