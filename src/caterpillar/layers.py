@@ -84,7 +84,6 @@ class Parameter:
         self._grad = grad
 
 
-
 class Module:
     """Base class: parameter/buffer discovery, dtype casting, MAC accounting.
 
