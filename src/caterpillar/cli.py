@@ -39,7 +39,6 @@ from .models import (
     ResnetSpec,
     build_model,
     caterpillar_param_formula,
-    check_extents,
     count_params,
     decode_spec,
     estimate_flops,
@@ -159,7 +158,6 @@ def _data_from_args(args) -> LabeledImages:
 
 
 def _check_compat(model, data: LabeledImages) -> None:
-    check_extents(model)
     h, w, c = model.spec.input
     if data.images.shape[1:] != (h, w, c):
         raise CaterpillarError(
@@ -175,7 +173,6 @@ def _check_compat(model, data: LabeledImages) -> None:
 def cmd_paramcount(args) -> int:
     spec = _spec_from_args(args)
     model = build_model(spec)
-    check_extents(model)
     total, rows = count_params(model)
     h, w, c = spec.input
     macs, macs_rows = estimate_flops(model, (1, h, w, c))

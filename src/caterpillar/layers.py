@@ -10,8 +10,8 @@ layer during backward instead of living until the next forward.  That
 allows one backward per forward; a second one, or a backward after a
 forward that kept nothing, raises StateError.  Each activation is kept
 once: a ReLU keeps its output, the array the next layer keeps as its input;
-a Conv2d keeps its unpadded input; an FFN keeps nothing for fc2 and rebuilds
-fc2's input from the x and phi its GELU keeps.
+a Conv2d or DWConv2d keeps its unpadded input; an FFN keeps nothing for fc2
+and rebuilds fc2's input from the x and phi its GELU keeps.
 
 A chain is a Sequential: one ordered list of named layers that forward runs
 left to right, backward right to left, and that also fixes the child names
@@ -730,7 +730,10 @@ class Conv2d(Module):
 
 
 class DWConv2d(Module):
-    """Depthwise convolution: kernel (k, k, c), channel c sees only slice c."""
+    """Depthwise convolution: kernel (k, k, c), channel c sees only slice c.
+
+    Stride 1, same padding.  Forward keeps its unpadded input; backward pads it again.
+    """
 
     def __init__(self, k: int, c: int, rng: Rng | None = None):
         if k % 2 == 0:
@@ -745,26 +748,26 @@ class DWConv2d(Module):
         n, h, w, c = x.shape
         if c != self.c:
             raise ShapeError(f"dwconv: input channels {c} != {self.c}")
-        pad, ho, wo = _conv_geometry(h, w, self.k, 1, "same")
-        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-        self._cache = (xp, pad, ho, wo) if keeping() else None
+        self._x = x if keeping() else None
+        xp = _pad_hw(x, self.k // 2)
         out = np.zeros_like(x)
         for di in range(self.k):
             for dj in range(self.k):
-                out += xp[:, di : di + ho, dj : dj + wo, :] * self.w.value[di, dj]
+                out += xp[:, di : di + h, dj : dj + w, :] * self.w.value[di, dj]
         out += self.b.value
         return out
 
     def backward(self, dy):
-        xp, pad, ho, wo = self._take("_cache")
+        pad, (_, h, w, _) = self.k // 2, dy.shape
+        xp = _pad_hw(self._take("_x"), pad)
         dxp = np.zeros_like(xp)
         for di in range(self.k):
             for dj in range(self.k):
-                patch = xp[:, di : di + ho, dj : dj + wo, :]
+                patch = xp[:, di : di + h, dj : dj + w, :]
                 self.w.grad[di, dj] += (patch * dy).sum(axis=(0, 1, 2))
-                dxp[:, di : di + ho, dj : dj + wo, :] += dy * self.w.value[di, dj]
+                dxp[:, di : di + h, dj : dj + w, :] += dy * self.w.value[di, dj]
         self.b.grad += dy.sum(axis=(0, 1, 2))
-        return dxp[:, pad : pad + ho, pad : pad + wo, :]
+        return dxp[:, pad : pad + h, pad : pad + w, :]
 
     def macs(self, in_shape):
         return int(np.prod(in_shape)) * self.k * self.k

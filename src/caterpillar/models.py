@@ -21,6 +21,7 @@ File formats (both documented in the README):
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import re
 from dataclasses import dataclass, field
@@ -133,14 +134,6 @@ class ModelSpec:
                     down = 1  # odd extent: keep resolution, still double channels
             else:
                 down = 0
-            cfg = self.block
-            if cfg.local_mixer == "spc" and cfg.spc.reduces_channels:
-                nd = cfg.spc.n_directions
-                if width % nd != 0:
-                    raise BuildError(
-                        f"stage {idx}: width {width} not divisible by {nd} shift "
-                        f"directions required by mixing {cfg.spc.mixing!r}"
-                    )
             plan.append({"h": h, "w": w, "c": width, "depth": depth, "down": down})
         return plan
 
@@ -389,8 +382,10 @@ class CaterpillarModel(_Chain):
                 down = Conv2d(k, prev_c, st["c"], stride=k, padding="valid", rng=rng)
                 layers.append((f"stage{s}.downsample", down))
             for b in range(1, st["depth"] + 1):
-                block = MixerBlock(st["h"], st["w"], st["c"], spec.block, rng=rng)
-                layers.append((f"stage{s}.block{b}", block))
+                name = f"stage{s}.block{b}"
+                with _naming(name):
+                    block = MixerBlock(st["h"], st["w"], st["c"], spec.block, rng=rng)
+                layers.append((name, block))
             stage_ends.append(len(layers) - 1)
             prev_c = st["c"]
         head = Sequential(
@@ -450,43 +445,37 @@ class ResNetModel(_Chain):
         for s, cout in enumerate((nc, 2 * nc, 4 * nc, 8 * nc), start=1):
             for name, cin, block_stride in ((f"stage{s}.block1", prev, 1 if s == 1 else 2),
                                             (f"stage{s}.block2", cout, 1)):
-                try:
+                with _naming(name):
                     layers.append((name, _BasicBlock(cin, cout, block_stride, spec, rng)))
-                except ConfigError as exc:  # an Spc that cannot take this block's widths
-                    raise BuildError(f"{name}: {exc}") from None
             stage_ends.append(len(layers) - 1)
             prev = cout
         layers += [("pool", GlobalAvgPool()), ("fc", Linear(prev, spec.num_classes, rng=rng))]
         super().__init__(spec, layers, stage_ends)
 
 
+@contextlib.contextmanager
+def _naming(name: str):
+    """Re-raise a package error from inside as a BuildError naming the layer."""
+    try:
+        yield
+    except CaterpillarError as exc:
+        raise BuildError(f"{name}: {exc}") from None
+
+
 def build_model(spec: "ModelSpec | ResnetSpec", seed: int = 0) -> Module:
     """The model a spec describes, with its weights drawn from seed.
 
-    A pyramid runs only on its spec's input extent (each Smlp mixes a fixed
-    H x W), so check_extents runs here.  A resnet runs on any extent its
-    layers admit, which check_extents tests for the spec's input.
+    The one build gate, for both families: BuildError naming the layer unless
+    every block builds and every layer runs on one image of the spec's input.
+    Layers' out_shape raises what a forward on that shape would raise (or,
+    for a residual whose path and skip shapes differ, would fail with).
     """
-    if isinstance(spec, ModelSpec):
-        model = CaterpillarModel(spec, seed=seed)
-        check_extents(model)
-        return model
-    return ResNetModel(spec, seed=seed)
-
-
-def check_extents(model: _Chain) -> None:
-    """BuildError naming the first layer that cannot run on one image of the spec's input.
-
-    Walks the layers' out_shape, which raises the typed error a forward on
-    that shape would raise (or, for a residual whose path and skip shapes
-    differ, would fail with).
-    """
-    shape = (1,) + tuple(model.spec.input)
+    model = (CaterpillarModel if isinstance(spec, ModelSpec) else ResNetModel)(spec, seed=seed)
+    shape = (1,) + tuple(spec.input)
     for name, layer in model.layers:
-        try:
+        with _naming(name):
             shape = layer.out_shape(shape)
-        except CaterpillarError as exc:
-            raise BuildError(f"{name}: {exc}") from None
+    return model
 
 
 def local_mixer_param_count(d_in: int, d_out: int, kind: str, k: int = 3) -> int:

@@ -17,7 +17,7 @@ from caterpillar.cli import (
 )
 from caterpillar.blocks import BlockConfig
 from caterpillar.data import synth_blobs
-from caterpillar.models import ModelSpec, ResnetSpec, build_model, save_checkpoint
+from caterpillar.models import ModelSpec, ResNetModel, ResnetSpec, build_model, save_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -634,11 +634,13 @@ class TestExtentErrors:
         spec.write_text("[model]\nfamily=resnet18\nn_c=8\nlocal_mixer=spc\ninput=32,32,3\n"
                         "num_classes=4\nsmall_stem=no\n")
         ckpt = tmp_path / "r18.ckpt"
-        save_checkpoint(str(ckpt), build_model(ResnetSpec(8, "spc", 4, (32, 32, 3), small_stem=False)))
+        # written unchecked: build_model refuses this spec
+        save_checkpoint(str(ckpt), ResNetModel(ResnetSpec(8, "spc", 4, (32, 32, 3), small_stem=False)))
         data = ("--data-synth", "0,8,32,32,3,4")
         for argv in (("paramcount", "--spec-file", str(spec)),
                      ("train", "--spec-file", str(spec), *data, "--steps", "1", "--batch-size", "8"),
-                     ("eval", "--checkpoint", str(ckpt), *data)):
+                     ("eval", "--checkpoint", str(ckpt), *data),
+                     ("dump-features", "--checkpoint", str(ckpt), *data, "--out-dir", str(tmp_path))):
             code, _, err = run_cli(capsys, *argv)
             assert code == 2 and err.startswith("error: stage4.block1: spc shift"), argv
             assert len(err.strip().splitlines()) == 1

@@ -32,8 +32,8 @@ from caterpillar.models import (
 from caterpillar.models import _BasicBlock
 from caterpillar.layers import Linear, Module, Sequential, finite_diff_check, no_backward
 from caterpillar.errors import ShapeError
-from caterpillar.layers import FFN, Conv2d, ReLU, Residual
-from caterpillar.models import CaterpillarModel, ResNetModel, check_extents
+from caterpillar.layers import FFN, Conv2d, DWConv2d, ReLU, Residual
+from caterpillar.models import CaterpillarModel, ResNetModel
 from caterpillar.spc import DIRECTION_PRESETS, MIXING_WAYS, PADDING_MODES, SpcConfig, split_pairs
 from caterpillar.tensor import Rng
 
@@ -114,8 +114,8 @@ class TestStagePlans:
 
     def test_spc_divisibility_names_stage(self):
         bad = dataclasses.replace(MICRO, base_width=6)  # 6 % 4 != 0
-        with pytest.raises(BuildError, match="stage 1"):
-            bad.stage_plan()
+        with pytest.raises(BuildError, match=r"^stage1\.block1: spc: .*divisible"):
+            build_model(bad)
 
 
 class TestBuildAndForward:
@@ -326,7 +326,8 @@ def _all_model_variants():
             )
     for mixer in ("conv3x3", "spc"):
         for small_stem in (True, False):
-            spec = ResnetSpec(8, mixer, 4, (32, 32, 3), small_stem=small_stem)
+            # at 32 px the large stem leaves 1x1 maps, too small to shift
+            spec = ResnetSpec(8, mixer, 4, (64, 64, 3), small_stem=small_stem)
             yield f"resnet18-{mixer}-small{small_stem}", build_model(spec)
 
 
@@ -334,10 +335,7 @@ class TestTrainingStepKeepsNothing:
     def test_backward_consumes_every_cache(self):
         """After one forward and its backward, no module holds an array for a backward."""
         for label, model in _all_model_variants():
-            h, w, c = model.spec.input
-            if model.spec.family == "resnet18":
-                h = w = 64  # at 32 px the large stem leaves 1x1 maps, too small to shift
-            x = rand((2, h, w, c), seed=10)
+            x = rand((2,) + model.spec.input, seed=10)
             out = model.forward(x, training=True)
             model.backward(rand(out.shape, seed=11))
             held = [(path, k) for path, m in _walk(model) for k in _kept_arrays(m)]
@@ -359,15 +357,18 @@ def _arrays_held(module) -> list[np.ndarray]:
 class TestEachActivationKeptOnce:
     """A training forward holds no array that another kept array already fixes."""
 
-    @pytest.mark.parametrize("name", ["resnet18-spc", "resnet18-conv3x3", "micro"])
+    @pytest.mark.parametrize("name", ["resnet18-spc", "resnet18-conv3x3", "micro", "micro-dwconv"])
     def test_relu_conv2d_and_fc2_keep_no_copy(self, name):
-        if name == "micro":
-            model, x = build_model(MICRO), rand((2, 16, 16, 3), seed=12)
+        if name.startswith("micro"):
+            mixer = "dwconv" if name == "micro-dwconv" else "spc"
+            block = dataclasses.replace(MICRO.block, local_mixer=mixer)
+            model = build_model(dataclasses.replace(MICRO, block=block))
+            x = rand((2, 16, 16, 3), seed=12)
         else:
             model = build_model(ResnetSpec(8, name.split("-")[1], 4, (64, 64, 3)))
             x = rand((2, 64, 64, 3), seed=12)
         calls = {}  # id(layer) -> (input, output) of its forward
-        watched = [m for _, m in _walk(model) if isinstance(m, (ReLU, Conv2d))]
+        watched = [m for _, m in _walk(model) if isinstance(m, (ReLU, Conv2d, DWConv2d))]
         for m in watched:
             def forward(a, training=False, m=m, inner=m.forward):
                 calls[id(m)] = (a, inner(a, training))
@@ -383,7 +384,8 @@ class TestEachActivationKeptOnce:
             assert len(held) == 1 and held[0] is (y if isinstance(m, ReLU) else a), type(m)
         ffns = [m for _, m in _walk(model) if isinstance(m, FFN)]
         assert all(_kept_arrays(m.fc2) == [] for m in ffns)
-        assert watched and bool(ffns) == (name == "micro")
+        assert watched and bool(ffns) == name.startswith("micro")
+        assert any(isinstance(m, DWConv2d) for m in watched) == (name == "micro-dwconv")
 
 
 class TestChildren:
@@ -570,39 +572,45 @@ class TestBuildChecksExtents:
     # 1x1 stride-2 shortcut's ceil gives 2x2, and numpy would broadcast them.
     @example(ResnetSpec(8, "spc", 3, (12, 12, 1), spc=SpcConfig(steps=0)))
     def test_builds_exactly_when_one_image_runs(self, spec):
-        """build_model (and, for a resnet, check_extents) fails exactly when a forward must.
+        """build_model fails exactly when a forward of one image must, naming the layer that fails.
 
         The forward counts a residual whose path and skip differ in shape as
         a failure, although numpy may broadcast them: the sum is not the
         block's output then.
         """
-        pyramid = isinstance(spec, ModelSpec)
-        unchecked = (CaterpillarModel if pyramid else ResNetModel)(spec)
+        unchecked = (CaterpillarModel if isinstance(spec, ModelSpec) else ResNetModel)(spec)
+        x, fails = rand((1,) + spec.input, seed=13), None
+        with mock.patch.object(Residual, "__call__", _residual_without_broadcast), no_backward():
+            for name, layer in unchecked.layers:
+                try:
+                    x = layer(x)
+                except (CaterpillarError, ValueError):
+                    fails = name
+                    break
         try:
-            with mock.patch.object(Residual, "__call__", _residual_without_broadcast):
-                unchecked.forward(rand((1,) + spec.input, seed=13))
-            runs = True
-        except (CaterpillarError, ValueError):
-            runs = False
-        try:
-            model = build_model(spec)
-            if not pyramid:  # a resnet is not bound to its spec's input
-                check_extents(model)
-            builds = True
-        except BuildError:
-            builds = False
-        assert builds == runs
+            build_model(spec)
+            named = None
+        except BuildError as exc:
+            named = str(exc).split(":")[0]
+        assert named == fails
 
     def test_error_names_the_layer(self):
         reflect = dataclasses.replace(MICRO, block=BlockConfig(spc=SpcConfig(padding="reflect")))
         with pytest.raises(BuildError, match=r"^stage4\.block1: spc shift: reflect"):
             build_model(reflect)
-        large_stem = build_model(ResnetSpec(8, "spc", 4, (32, 32, 3), small_stem=False))
         with pytest.raises(BuildError, match=r"^stage4\.block1: spc shift"):
-            check_extents(large_stem)
-        odd = build_model(ResnetSpec(8, "spc", 4, (20, 20, 3)))
+            build_model(ResnetSpec(8, "spc", 4, (32, 32, 3), small_stem=False))
         with pytest.raises(BuildError, match=r"^stage4\.block1: residual: path gives"):
-            check_extents(odd)
+            build_model(ResnetSpec(8, "spc", 4, (20, 20, 3)))
+        even = dataclasses.replace(MICRO, block=BlockConfig(local_mixer="dwconv", dw_kernel=2))
+        with pytest.raises(BuildError, match=r"^stage1\.block1: dwconv: kernel must be odd"):
+            build_model(even)
+
+    def test_load_checkpoint_goes_through_the_gate(self, tmp_path):
+        path = str(tmp_path / "r18.ckpt")
+        save_checkpoint(path, ResNetModel(ResnetSpec(8, "spc", 4, (32, 32, 3), small_stem=False)))
+        with pytest.raises(BuildError, match=r"^stage4\.block1: spc shift"):
+            load_checkpoint(path)
 
 
 class TestSerialization:
