@@ -39,8 +39,8 @@ from .layers import (
     Sequential,
     keeping,
 )
-from .smlp import Smlp
-from .spc import Spc, SpcConfig
+from .smlp import Smlp, smlp_param_count
+from .spc import Spc, SpcConfig, spc_param_count
 from .tensor import Rng
 
 LOCAL_MIXERS = ("spc", "dwconv", "identity")
@@ -96,8 +96,8 @@ class MixerBlock(Sequential):
             self.bn2, self.act2 = BatchNorm2d(c), GELU()
             mid = [("bn2", self.bn2), ("act2", self.act2)]
         if cfg.combine == "weighted_sum":
-            self.local_scale = Parameter(np.array(1.0), weight_decay=False)
-            self.global_scale = Parameter(np.array(1.0), weight_decay=False)
+            self.local_scale = Parameter(np.array(1.0))
+            self.global_scale = Parameter(np.array(1.0))
         if cfg.combine == "concat_reduce":
             self.merge = Linear(2 * c, c, rng=rng)
             merge = [("merge", self.merge)]
@@ -171,9 +171,6 @@ class _Parallel:
 
 def block_param_count(h: int, w: int, c: int, cfg: BlockConfig) -> int:
     """Closed-form parameter count for one MixerBlock (mirrors the builder)."""
-    from .smlp import smlp_param_count
-    from .spc import spc_param_count
-
     total = 2 * c  # bn1
     if cfg.combine in _SEQUENTIAL:
         total += 2 * c  # bn2

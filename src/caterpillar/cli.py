@@ -2,7 +2,7 @@
 evaluation and feature-map dumps.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, config or OS error
-(a path that cannot be read or written).
+(a path that cannot be read or written) or a model too large to allocate.
 CSV schemas are versioned by their leading comment line; wall-clock fields
 are the only nondeterministic outputs.
 """
@@ -35,6 +35,8 @@ from .layers import (
     finite_diff_check,
 )
 from .models import (
+    SPEC_KEYS,
+    VARIANT_PRESETS,
     ModelSpec,
     ResnetSpec,
     build_model,
@@ -59,43 +61,52 @@ BENCH_SCHEMA = "# bench-v1"
 BENCH_HEADER = "operator,config,input_shape,direction,wall_time_s,images_per_s,analytic_macs"
 
 
+_DTYPES = {"f32": np.float32, "f64": np.float64}
+
+# Model flags in the order they are applied, each with the spec key it sets
+# and its argparse options; the family's key table names the section.
+# --family comes first: it picks the table.
+_MODEL_FLAGS = (
+    ("--family", "family", dict(choices=SPEC_KEYS, help="default caterpillar")),
+    ("--preset", "variant", dict(choices=VARIANT_PRESETS, help="pyramid preset")),
+    ("--base-width", "base_width", dict(type=int, help="custom pyramid stage-1 width")),
+    ("--depths", "depths", dict(help="custom pyramid depths d1,d2,d3,d4")),
+    ("--n-c", "n_c", dict(type=int, help="resnet18 first-stage width")),
+    ("--patch-size", "patch_size", dict(type=int, help="pyramid patch size")),
+    ("--input", "input", dict(help="input as H,W,C")),
+    ("--classes", "num_classes", dict(type=int, help="classifier outputs")),
+    ("--channel-schedule", "channel_schedule", dict(help="explicit stage widths c1,c2,c3,c4")),
+    ("--local-mixer", "local_mixer",
+     dict(help="caterpillar: spc|dwconv|identity;  resnet18: conv3x3|spc")),
+    ("--combine", "combine", dict(choices=COMBINE_STRATEGIES, help="token-mixing strategy")),
+    ("--ffn-ratio", "ffn_ratio", dict(type=int, help="FFN expansion ratio")),
+)
+
+# Train flags, each with the TrainConfig field that gives its type and default.
+_TRAIN_FLAGS = (
+    ("--steps", "total_steps"),
+    ("--batch-size", "batch_size"),
+    ("--lr", "lr_peak"),
+    ("--lr-min", "lr_min"),
+    ("--warmup-steps", "warmup_steps"),
+    ("--warmup-lr", "warmup_lr"),
+    ("--weight-decay", "weight_decay"),
+    ("--label-smoothing", "label_smoothing"),
+    ("--seed", "seed"),
+)
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse stores a flag's value under."""
+    return flag[2:].replace("-", "_")
+
+
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec-file", help="model spec file (key=value sections)")
-    p.add_argument("--preset", choices=["Mi", "Tx", "T", "S", "B"], help="pyramid preset")
-    p.add_argument("--family", choices=["caterpillar", "resnet18"], help="default caterpillar")
-    p.add_argument("--n-c", type=int, help="resnet18 first-stage width")
-    p.add_argument("--resolution", type=int, help="square input resolution")
-    p.add_argument("--input", help="input as H,W,C")
-    p.add_argument("--classes", type=int, help="classifier outputs")
-    p.add_argument("--patch-size", type=int, help="pyramid patch size")
-    p.add_argument("--ffn-ratio", type=int, help="FFN expansion ratio")
-    p.add_argument("--base-width", type=int, help="custom pyramid stage-1 width")
-    p.add_argument("--depths", help="custom pyramid depths d1,d2,d3,d4")
-    p.add_argument("--channel-schedule", help="explicit stage widths c1,c2,c3,c4")
-    p.add_argument(
-        "--local-mixer",
-        help="caterpillar: spc|dwconv|identity;  resnet18: conv3x3|spc",
-    )
-    p.add_argument("--combine", choices=COMBINE_STRATEGIES, help="token-mixing strategy")
+    for flag, _, options in _MODEL_FLAGS:
+        p.add_argument(flag, **options)
     p.add_argument("--spc-config", help="e.g. 'directions=4;steps=1;padding=zero;mixing=...'")
-
-
-# Model flag (argparse dest) -> the spec key it sets; the family's key table
-# names the section.  family comes first: it picks the table.
-_MODEL_FLAGS = {
-    "family": "family",
-    "preset": "variant",
-    "base_width": "base_width",
-    "depths": "depths",
-    "n_c": "n_c",
-    "patch_size": "patch_size",
-    "input": "input",
-    "classes": "num_classes",
-    "channel_schedule": "channel_schedule",
-    "local_mixer": "local_mixer",
-    "combine": "combine",
-    "ffn_ratio": "ffn_ratio",
-}
+    p.add_argument("--resolution", type=int, help="square input resolution")
 
 
 def _read_spec_file(path: str) -> dict[str, dict[str, str]]:
@@ -115,46 +126,56 @@ def _spec_from_args(args) -> "ModelSpec | ResnetSpec":
         raise CaterpillarError("no model given: use --spec-file, --preset, or --base-width/--depths")
     else:
         sections = {}
-    for flag, key in _MODEL_FLAGS.items():
-        value = getattr(args, flag)
+    for flag, key, _ in _MODEL_FLAGS:
+        value = getattr(args, _dest(flag))
         if value is not None:
-            set_spec_key(sections, key, str(value), "--" + flag.replace("_", "-"))
+            set_spec_key(sections, key, str(value), flag)
     if args.spc_config:
         sections.setdefault("spc", {}).update(split_pairs(args.spc_config))
     if args.resolution is not None and args.input is None:
         # keeps the channel count of the input the file and flags give
         r, channels = args.resolution, decode_spec(sections).input[2]
-        set_spec_key(sections, _MODEL_FLAGS["input"], f"{r},{r},{channels}", "--resolution")
+        set_spec_key(sections, "input", f"{r},{r},{channels}", "--resolution")
     return decode_spec(sections)
 
 
+def _read_synth(text: str) -> LabeledImages:
+    fields = parse_ints(text, "--data-synth")
+    if len(fields) != 6:
+        raise CaterpillarError(f"--data-synth: expected seed,N,H,W,C,K, got {text!r}")
+    return synth_blobs(*fields)
+
+
+def _read_idx(text: str) -> LabeledImages:
+    paths = text.split(",")
+    if len(paths) != 2:
+        raise CaterpillarError(f"--data-idx: expected images_file,labels_file, got {text!r}")
+    return load_idx(*paths)
+
+
+# Dataset flag -> (help, reader of the flag's text).
+_DATASETS = {
+    "--data-synth": ("seed,N,H,W,C,K synthetic blobs", _read_synth),
+    "--data-cifar": ("comma-separated CIFAR-10 binary batch files",
+                     lambda text: load_cifar10_binary(text.split(","))),
+    "--data-idx": ("images_file,labels_file in IDX format", _read_idx),
+    "--data-raw": ("raw-blob dataset file", load_raw_blob),
+}
+
+
 def _add_data_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data-synth", help="seed,N,H,W,C,K synthetic blobs")
-    p.add_argument("--data-cifar", help="comma-separated CIFAR-10 binary batch files")
-    p.add_argument("--data-idx", help="images_file,labels_file in IDX format")
-    p.add_argument("--data-raw", help="raw-blob dataset file")
+    for flag, (help_text, _) in _DATASETS.items():
+        p.add_argument(flag, help=help_text)
 
 
 def _data_from_args(args) -> LabeledImages:
-    if args.data_synth:
-        fields = parse_ints(args.data_synth, "--data-synth")
-        if len(fields) != 6:
-            raise CaterpillarError(
-                f"--data-synth: expected seed,N,H,W,C,K, got {args.data_synth!r}"
-            )
-        return synth_blobs(*fields)
-    if args.data_cifar:
-        return load_cifar10_binary(args.data_cifar.split(","))
-    if args.data_idx:
-        paths = args.data_idx.split(",")
-        if len(paths) != 2:
-            raise CaterpillarError(
-                f"--data-idx: expected images_file,labels_file, got {args.data_idx!r}"
-            )
-        return load_idx(*paths)
-    if args.data_raw:
-        return load_raw_blob(args.data_raw)
-    raise CaterpillarError("no dataset given: use --data-synth/--data-cifar/--data-idx/--data-raw")
+    given = [flag for flag in _DATASETS if getattr(args, _dest(flag)) is not None]
+    if not given:
+        raise CaterpillarError(f"no dataset given: use {'/'.join(_DATASETS)}")
+    if len(given) > 1:
+        raise CaterpillarError(f"one dataset at a time: got {' and '.join(given)}")
+    flag = given[0]
+    return _DATASETS[flag][1](getattr(args, _dest(flag)))
 
 
 def _check_compat(model, data: LabeledImages) -> None:
@@ -219,93 +240,72 @@ def cmd_paramcount(args) -> int:
     return 0
 
 
-def _gradcheck_cases(target: str, spc_override: str | None, seed: int):
-    """Yield (name, config_text, module_factory, input_shape, tolerance)."""
+def _gradcheck_cases(spc_override: str | None) -> list:
+    """Every check as (target, config_text, module_factory, input_shape, tolerance)."""
     shape44 = (1, 4, 4, 8)
-    if target in ("all", "linear"):
-        yield "linear", "8->5", lambda r: Linear(8, 5, rng=r), shape44, 1e-8
-    if target in ("all", "batchnorm"):
-        yield "batchnorm", "c=8", lambda r: BatchNorm2d(8), shape44, 1e-4
-    if target in ("all", "layernorm"):
-        yield "layernorm", "c=8", lambda r: LayerNorm(8), shape44, 1e-4
-    if target in ("all", "gelu"):
-        yield "gelu", "", lambda r: GELU(), shape44, 1e-4
-    if target in ("all", "relu"):
-        yield "relu", "", lambda r: ReLU(), shape44, 1e-4
-    if target in ("all", "ffn"):
-        yield "ffn", "ratio=2", lambda r: FFN(8, 2, rng=r), shape44, 1e-4
-    if target in ("all", "conv"):
-        yield "conv", "k=3 s=1", lambda r: Conv2d(3, 8, 6, rng=r), shape44, 1e-8
-        yield "conv", "k=3 s=2", lambda r: Conv2d(3, 8, 6, stride=2, rng=r), shape44, 1e-8
-    if target in ("all", "dwconv"):
-        yield "dwconv", "k=3", lambda r: DWConv2d(3, 8, rng=r), shape44, 1e-8
-    if target in ("all", "avgpool"):
-        yield "avgpool", "k=2", lambda r: AvgPool2d(2), shape44, 1e-8
-    if target in ("all", "maxpool"):
-        yield "maxpool", "k=3 s=2", lambda r: MaxPool2d(3, 2, 1), shape44, 1e-4
-    if target in ("all", "smlp"):
-        yield "smlp", "4x4x8", lambda r: Smlp(4, 4, 8, rng=r), shape44, 1e-6
-    if target in ("all", "spc"):
-        if spc_override is not None:
-            cfgs = [SpcConfig.parse(spc_override)]
-        else:
-            cfgs = [
-                SpcConfig.preset(nd, steps=s, padding=pad, mixing=mix)
-                for nd in sorted(DIRECTION_PRESETS)
-                for s in (0, 1, 2)
-                for pad in PADDING_MODES
-                for mix in MIXING_WAYS
-            ]
-        for cfg in cfgs:
-            c = 8
-            if cfg.reduces_channels and c % cfg.n_directions:
-                c = {5: 10, 9: 9}[cfg.n_directions]
-            yield (
-                "spc",
-                cfg.serialize(),
-                lambda r, cfg=cfg, c=c: Spc(c, cfg=cfg, rng=r),
-                (1, 5, 5, c),
-                1e-6,
-            )
-    if target in ("all", "block"):
-        combos = [("spc", combine) for combine in COMBINE_STRATEGIES]
-        combos += [("dwconv", "LG"), ("identity", "LG")]
-        for mixer, combine in combos:
-            cfg = BlockConfig(local_mixer=mixer, combine=combine, ffn_ratio=2)
-            yield (
-                "block",
-                f"local={mixer} combine={combine}",
-                lambda r, cfg=cfg: MixerBlock(4, 4, 8, cfg, rng=r),
-                shape44,
-                1e-4,
-            )
+    cases = [
+        ("linear", "8->5", lambda r: Linear(8, 5, rng=r), shape44, 1e-8),
+        ("batchnorm", "c=8", lambda r: BatchNorm2d(8), shape44, 1e-4),
+        ("layernorm", "c=8", lambda r: LayerNorm(8), shape44, 1e-4),
+        ("gelu", "", lambda r: GELU(), shape44, 1e-4),
+        ("relu", "", lambda r: ReLU(), shape44, 1e-4),
+        ("ffn", "ratio=2", lambda r: FFN(8, 2, rng=r), shape44, 1e-4),
+        ("conv", "k=3 s=1", lambda r: Conv2d(3, 8, 6, rng=r), shape44, 1e-8),
+        ("conv", "k=3 s=2", lambda r: Conv2d(3, 8, 6, stride=2, rng=r), shape44, 1e-8),
+        ("dwconv", "k=3", lambda r: DWConv2d(3, 8, rng=r), shape44, 1e-8),
+        ("avgpool", "k=2", lambda r: AvgPool2d(2), shape44, 1e-8),
+        ("maxpool", "k=3 s=2", lambda r: MaxPool2d(3, 2, 1), shape44, 1e-4),
+        ("smlp", "4x4x8", lambda r: Smlp(4, 4, 8, rng=r), shape44, 1e-6),
+    ]
+    if spc_override is not None:
+        spc_cfgs = [SpcConfig.parse(spc_override)]
+    else:
+        spc_cfgs = [
+            SpcConfig.preset(nd, steps=s, padding=pad, mixing=mix)
+            for nd in sorted(DIRECTION_PRESETS)
+            for s in (0, 1, 2)
+            for pad in PADDING_MODES
+            for mix in MIXING_WAYS
+        ]
+    for cfg in spc_cfgs:
+        # the smallest width >= 8 that every direction's reduction divides
+        n = cfg.n_directions if cfg.reduces_channels else 1
+        c = -(-8 // n) * n
+        cases.append(("spc", cfg.serialize(), lambda r, cfg=cfg, c=c: Spc(c, cfg=cfg, rng=r),
+                      (1, 5, 5, c), 1e-6))
+    combos = [("spc", combine) for combine in COMBINE_STRATEGIES]
+    combos += [("dwconv", "LG"), ("identity", "LG")]
+    for mixer, combine in combos:
+        cfg = BlockConfig(local_mixer=mixer, combine=combine, ffn_ratio=2)
+        cases.append(("block", f"local={mixer} combine={combine}",
+                      lambda r, cfg=cfg: MixerBlock(4, 4, 8, cfg, rng=r), shape44, 1e-4))
+    return cases
 
 
 def run_gradcheck(target: str = "all", spc_override: str | None = None, trials: int = 1, seed: int = 0):
-    """Run the finite-difference suite; returns (all_passed, rows)."""
+    """Run the finite-difference checks target names; returns (all_passed, rows)."""
     if trials < 1:
         raise ConfigError(f"gradcheck: trials must be >= 1, got {trials}")
+    cases = _gradcheck_cases(spc_override)
+    picked = [case for case in cases if target in ("all", case[0])]
+    if not picked:
+        known = sorted({case[0] for case in cases})
+        raise CaterpillarError(
+            f"gradcheck: no check matches target {target!r}; known: all, {', '.join(known)}"
+        )
     rows = []
-    ok = True
-    for name, cfg_text, factory, shape, tol in _gradcheck_cases(target, spc_override, seed):
+    for name, cfg_text, factory, shape, tol in picked:
         worst = 0.0
         for trial in range(trials):
             module = factory(Rng(seed + 13 * trial + 1))
             x = Rng(seed + 977 * trial).normal(int(np.prod(shape))).reshape(shape)
             worst = max(worst, finite_diff_check(module, x, seed=seed + trial))
-        passed = worst < tol
-        ok = ok and passed
-        rows.append((name, cfg_text, worst, tol, passed))
-    return ok, rows
+        rows.append((name, cfg_text, worst, tol, worst < tol))
+    return all(row[4] for row in rows), rows
 
 
 def cmd_gradcheck(args) -> int:
     ok, rows = run_gradcheck(args.target, args.config, args.trials, args.seed)
-    if not rows:
-        known = sorted({case[0] for case in _gradcheck_cases("all", None, args.seed)})
-        raise CaterpillarError(
-            f"gradcheck: no check matches target {args.target!r}; known: all, {', '.join(known)}"
-        )
     width = max(len(r[1]) for r in rows)
     for name, cfg_text, worst, tol, passed in rows:
         status = "pass" if passed else "FAIL"
@@ -318,22 +318,20 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _bench_target(op: str, channels: int, rng: Rng):
-    if op == "spc":
-        return Spc(channels, cfg=SpcConfig(), rng=rng)
-    if op == "conv3x3":
-        return Conv2d(3, channels, channels, rng=rng)
-    if op == "dwconv3x3":
-        return DWConv2d(3, channels, rng=rng)
-    raise CaterpillarError(f"unknown bench op {op!r}")
+# Bench operator -> its constructor from (channels, rng); --op all runs each.
+_BENCH_OPS = {
+    "spc": lambda c, rng: Spc(c, rng=rng),
+    "conv3x3": lambda c, rng: Conv2d(3, c, c, rng=rng),
+    "dwconv3x3": lambda c, rng: DWConv2d(3, c, rng=rng),
+}
 
 
 def cmd_bench(args) -> int:
     for flag, low in (("reps", 1), ("batch", 1), ("hw", 1), ("channels", 1), ("warmup", 0)):
         if getattr(args, flag) < low:
             raise ConfigError(f"bench: --{flag} must be >= {low}, got {getattr(args, flag)}")
-    ops = ["spc", "conv3x3", "dwconv3x3"] if args.op == "all" else [args.op]
-    dtype = np.float64 if args.dtype == "f64" else np.float32
+    ops = list(_BENCH_OPS) if args.op == "all" else [args.op]
+    dtype = _DTYPES[args.dtype]
     shape = (args.batch, args.hw, args.hw, args.channels)
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     lines = [
@@ -352,7 +350,7 @@ def cmd_bench(args) -> int:
     mac_values = {}
     faults = []  # "# " lines after the rows: minor page faults per timed rep of each row
     for op in ops:
-        layer = _bench_target(op, args.channels, Rng(args.seed)).astype(dtype)
+        layer = _BENCH_OPS[op](args.channels, Rng(args.seed)).astype(dtype)
         x = Rng(args.seed + 1).normal(int(np.prod(shape))).reshape(shape).astype(dtype)
         macs = layer.macs(shape)
         mac_values[op] = macs
@@ -402,19 +400,9 @@ def _write_history(path: str, history) -> None:
 def cmd_train(args) -> int:
     spec = _spec_from_args(args)
     data = _data_from_args(args)
-    cfg = TrainConfig(
-        lr_peak=args.lr,
-        lr_min=args.lr_min,
-        warmup_steps=args.warmup_steps,
-        warmup_lr=args.warmup_lr,
-        total_steps=args.steps,
-        weight_decay=args.weight_decay,
-        label_smoothing=args.label_smoothing,
-        batch_size=args.batch_size,
-        seed=args.seed,
-    )
-    dtype = np.float64 if args.dtype == "f64" else np.float32
-    model = build_model(spec, seed=args.seed).astype(dtype)
+    cfg = TrainConfig(**{field: getattr(args, _dest(flag)) for flag, field in _TRAIN_FLAGS})
+    dtype = _DTYPES[args.dtype]
+    model = build_model(spec, seed=cfg.seed).astype(dtype)
     _check_compat(model, data)
     images = data.images.astype(dtype)
     history = train_loop(model, images, data.labels, cfg)
@@ -511,14 +499,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("bench", help="operator throughput microbenchmark")
-    p.add_argument("--op", default="all", choices=("all", "spc", "conv3x3", "dwconv3x3"))
+    p.add_argument("--op", default="all", choices=("all", *_BENCH_OPS))
     p.add_argument("--channels", type=int, default=64)
     p.add_argument("--hw", type=int, default=32)
     p.add_argument("--batch", type=int, default=8)
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--direction", choices=("fwd", "fwd+bwd", "both"), default="both")
-    p.add_argument("--dtype", choices=("f32", "f64"), default="f32")
+    p.add_argument("--dtype", choices=_DTYPES, default="f32")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="also write the CSV here")
     p.set_defaults(fn=cmd_bench)
@@ -526,16 +514,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="toy deterministic training run")
     _add_model_args(p)
     _add_data_args(p)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--lr-min", type=float, default=1e-5)
-    p.add_argument("--warmup-steps", type=int, default=0)
-    p.add_argument("--warmup-lr", type=float, default=1e-6)
-    p.add_argument("--weight-decay", type=float, default=0.05)
-    p.add_argument("--label-smoothing", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dtype", choices=("f32", "f64"), default="f32")
+    defaults = TrainConfig()
+    for flag, field in _TRAIN_FLAGS:
+        default = getattr(defaults, field)
+        p.add_argument(flag, type=type(default), default=default)
+    p.add_argument("--dtype", choices=_DTYPES, default="f32")
     p.add_argument("--history", help="history CSV output path")
     p.add_argument("--checkpoint", help="checkpoint output path")
     p.set_defaults(fn=cmd_train)
@@ -561,8 +544,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CaterpillarError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CaterpillarError, OSError, MemoryError) as exc:
+        # a MemoryError may carry no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -66,12 +66,11 @@ class Parameter:
     Assigning an array or None replaces it.
     """
 
-    __slots__ = ("value", "_grad", "weight_decay")
+    __slots__ = ("value", "_grad")
 
-    def __init__(self, value: np.ndarray, weight_decay: bool = True):
+    def __init__(self, value: np.ndarray):
         self.value = np.asarray(value, dtype=np.float64)
         self._grad = None
-        self.weight_decay = weight_decay
 
     @property
     def grad(self) -> np.ndarray:
@@ -276,7 +275,7 @@ class Linear(Module):
         self.cin = cin
         self.cout = cout
         self.w = Parameter(trunc_normal_init(rng, (cin, cout)))
-        self.b = Parameter(np.zeros(cout), weight_decay=False)
+        self.b = Parameter(np.zeros(cout))
 
     def forward(self, x, training=False):
         x = np.asarray(x)
@@ -353,8 +352,8 @@ class BatchNorm2d(Module):
 
     def __init__(self, c: int):
         self.c = c
-        self.gamma = Parameter(np.ones(c), weight_decay=False)
-        self.beta = Parameter(np.zeros(c), weight_decay=False)
+        self.gamma = Parameter(np.ones(c))
+        self.beta = Parameter(np.zeros(c))
         self.running_mean = np.zeros(c)
         self.running_var = np.ones(c)
 
@@ -416,8 +415,8 @@ class LayerNorm(Module):
 
     def __init__(self, c: int):
         self.c = c
-        self.gamma = Parameter(np.ones(c), weight_decay=False)
-        self.beta = Parameter(np.zeros(c), weight_decay=False)
+        self.gamma = Parameter(np.ones(c))
+        self.beta = Parameter(np.zeros(c))
 
     def forward(self, x, training=False):
         x = np.asarray(x)
@@ -668,7 +667,7 @@ class Conv2d(Module):
         self.k, self.cin, self.cout = k, cin, cout
         self.stride, self.padding = stride, padding
         self.w = Parameter(trunc_normal_init(rng, (k, k, cin, cout)))
-        self.b = Parameter(np.zeros(cout), weight_decay=False)
+        self.b = Parameter(np.zeros(cout))
 
     def forward(self, x, training=False):
         x = ensure_nhwc(x, "conv input")
@@ -741,7 +740,7 @@ class DWConv2d(Module):
         rng = rng or Rng(0)
         self.k, self.c = k, c
         self.w = Parameter(trunc_normal_init(rng, (k, k, c)))
-        self.b = Parameter(np.zeros(c), weight_decay=False)
+        self.b = Parameter(np.zeros(c))
 
     def forward(self, x, training=False):
         x = ensure_nhwc(x, "dwconv input")

@@ -119,7 +119,7 @@ class ModelSpec:
         """Spatial/width schedule with downsample kinds; raises BuildError."""
         h, w, _ = self.input
         p = self.patch_size
-        if p < 1 or h % p or w % p:
+        if h % p or w % p:
             raise BuildError(
                 f"stage 1: patch size {p} does not divide input {h}x{w}"
             )
@@ -527,7 +527,7 @@ def estimate_flops(model: Module, input_shape: tuple) -> tuple[int, list[tuple[s
     """Total MACs and per-layer rows for one forward pass on input_shape."""
     if not hasattr(model, "macs_rows"):
         raise ConfigError("estimate_flops: model does not expose macs_rows")
-    if input_shape[1:4] != tuple(model.spec.input[:2]) + (model.spec.input[2],):
+    if input_shape[1:4] != tuple(model.spec.input):
         raise ShapeError(
             f"estimate_flops: input {input_shape[1:4]} != model binding {model.spec.input}"
         )

@@ -28,9 +28,9 @@ class Smlp(Module):
         rng = rng or Rng(0)
         self.h, self.w, self.c = h, w, c
         self.row_w = Parameter(trunc_normal_init(rng, (w, w)))
-        self.row_b = Parameter(np.zeros(w), weight_decay=False)
+        self.row_b = Parameter(np.zeros(w))
         self.col_w = Parameter(trunc_normal_init(rng, (h, h)))
-        self.col_b = Parameter(np.zeros(h), weight_decay=False)
+        self.col_b = Parameter(np.zeros(h))
         self.fuse = Linear(3 * c, c, rng=rng)
 
     def forward(self, x, training=False):

@@ -93,7 +93,11 @@ def adamw_step(
 
 
 class AdamW:
-    """Optimizer state over named parameters; no decay on norms/biases/scalars."""
+    """Optimizer state over named parameters; no decay on biases, norms or scalars.
+
+    Those are exactly the parameters of rank 0 or 1, so a weight decays when
+    its rank is at least 2.
+    """
 
     def __init__(self, named_params: list[tuple[str, Parameter]], cfg: TrainConfig):
         self.cfg = cfg
@@ -110,7 +114,7 @@ class AdamW:
             if not np.all(np.isfinite(p.grad)):
                 raise NumericError(f"adamw: non-finite gradient for {name}")
             m, v = self.state[name]
-            adamw_step(p.value, p.grad, m, v, self.t, lr, self.cfg, decay=p.weight_decay)
+            adamw_step(p.value, p.grad, m, v, self.t, lr, self.cfg, decay=p.value.ndim >= 2)
 
 
 def ce_label_smoothing(

@@ -11,6 +11,7 @@ from caterpillar.cli import (
     BENCH_HEADER,
     HISTORY_HEADER,
     HISTORY_SCHEMA,
+    _gradcheck_cases,
     main,
     run_gradcheck,
     write_pgm,
@@ -94,10 +95,8 @@ class TestGradcheck:
             def backward(self, dy):
                 return 2.0 * super().backward(dy)  # deliberately corrupted
 
-        def broken_cases(target, spc_override, seed):
-            from caterpillar.tensor import Rng
-
-            yield "broken", "", lambda r: BrokenLinear(4, 4, rng=r), (1, 2, 2, 4), 1e-8
+        def broken_cases(spc_override):
+            return [("broken", "", lambda r: BrokenLinear(4, 4, rng=r), (1, 2, 2, 4), 1e-8)]
 
         monkeypatch.setattr(cli_mod, "_gradcheck_cases", broken_cases)
         code, out, err = run_cli(capsys, "gradcheck", "--target", "broken")
@@ -107,6 +106,27 @@ class TestGradcheck:
     def test_run_gradcheck_rows(self):
         ok, rows = run_gradcheck("linear")
         assert ok and len(rows) == 1 and rows[0][4]
+
+    def test_custom_direction_list(self, capsys):
+        # N = 3 reductions need a width divisible by 3: the smallest >= 8 is 9
+        config = "directions=up+down+left"
+        code, out, err = run_cli(capsys, "gradcheck", "--target", "spc", "--config", config)
+        assert code == 0, err
+        assert re.search(r"^pass  spc +directions=up\+down\+left;steps=1;", out, re.M)
+        assert "1/1 checks passed" in out
+        assert [case[3] for case in _gradcheck_cases(config) if case[0] == "spc"] == [(1, 5, 5, 9)]
+
+    def test_spc_widths_by_direction_count(self):
+        # a reducing check runs at the smallest multiple of N that is >= 8, any other at 8
+        widths = {}
+        for target, text, _, shape, _ in _gradcheck_cases(None):
+            if target == "spc":
+                key = (text.split(";")[0], "mixing=reduce_concat" in text)
+                widths.setdefault(key, set()).add(shape[3])
+        assert widths == {
+            **{(f"directions={n}", True): {c} for n, c in ((4, 8), (5, 10), (8, 8), (9, 9))},
+            **{(f"directions={n}", False): {8} for n in (4, 5, 8, 9)},
+        }
 
 
 class TestBench:
@@ -579,6 +599,25 @@ class TestSpecChecks:
         assert_one_error(code, out, err)
         assert "UTF-8" in err
 
+    def test_model_too_large_to_allocate(self, capsys, monkeypatch):
+        import caterpillar.cli as cli_mod
+
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 36.0 TiB for an array")
+
+        monkeypatch.setattr(cli_mod, "build_model", too_large)
+        code, out, err = run_cli(capsys, "paramcount", "--family", "resnet18", "--n-c", "1048576",
+                                 "--input", "32,32,3")
+        assert_one_error(code, out, err)
+        assert "36.0 TiB" in err
+
+    def test_two_dataset_flags(self, capsys, tmp_path):
+        ckpt = _micro_checkpoint(tmp_path / "m.ckpt")
+        code, out, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt),
+                                 "--data-synth", _SYNTH, "--data-cifar", str(ckpt))
+        assert_one_error(code, out, err)
+        assert "--data-synth" in err and "--data-cifar" in err
+
     def test_unknown_gradcheck_target(self, capsys):
         code, out, err = run_cli(capsys, "gradcheck", "--target", "nosuch")
         assert_one_error(code, out, err)
@@ -644,3 +683,94 @@ class TestExtentErrors:
             code, _, err = run_cli(capsys, *argv)
             assert code == 2 and err.startswith("error: stage4.block1: spc shift"), argv
             assert len(err.strip().splitlines()) == 1
+
+
+_MODEL_OPTIONS = {
+    "--spec-file": (None, None, None),
+    "--preset": (None, ["Mi", "Tx", "T", "S", "B"], None),
+    "--family": (None, ["caterpillar", "resnet18"], None),
+    "--n-c": ("int", None, None),
+    "--resolution": ("int", None, None),
+    "--input": (None, None, None),
+    "--classes": ("int", None, None),
+    "--patch-size": ("int", None, None),
+    "--ffn-ratio": ("int", None, None),
+    "--base-width": ("int", None, None),
+    "--depths": (None, None, None),
+    "--channel-schedule": (None, None, None),
+    "--local-mixer": (None, None, None),
+    "--combine": (None, ["LG", "GL", "two_residual", "sum", "weighted_sum", "concat_reduce"],
+                  None),
+    "--spc-config": (None, None, None),
+}
+_DATA_OPTIONS = {flag: (None, None, None)
+                 for flag in ("--data-synth", "--data-cifar", "--data-idx", "--data-raw")}
+# Subcommand -> option string -> (type name, choices, default).
+PARSER_OPTIONS = {
+    "paramcount": {
+        **_MODEL_OPTIONS,
+        "--compare-local": (None, ["dwconv", "identity", "spc"], None),
+        "--csv": (None, None, None),
+    },
+    "gradcheck": {
+        "--target": (None, None, "all"),
+        "--config": (None, None, None),
+        "--trials": ("int", None, 1),
+        "--seed": ("int", None, 0),
+    },
+    "bench": {
+        "--op": (None, ["all", "spc", "conv3x3", "dwconv3x3"], "all"),
+        "--channels": ("int", None, 64),
+        "--hw": ("int", None, 32),
+        "--batch": ("int", None, 8),
+        "--reps": ("int", None, 3),
+        "--warmup": ("int", None, 1),
+        "--direction": (None, ["fwd", "fwd+bwd", "both"], "both"),
+        "--dtype": (None, ["f32", "f64"], "f32"),
+        "--seed": ("int", None, 0),
+        "--out": (None, None, None),
+    },
+    "train": {
+        **_MODEL_OPTIONS,
+        **_DATA_OPTIONS,
+        "--steps": ("int", None, 100),
+        "--batch-size": ("int", None, 64),
+        "--lr": ("float", None, 1e-3),
+        "--lr-min": ("float", None, 1e-5),
+        "--warmup-steps": ("int", None, 0),
+        "--warmup-lr": ("float", None, 1e-6),
+        "--weight-decay": ("float", None, 0.05),
+        "--label-smoothing": ("float", None, 0.1),
+        "--seed": ("int", None, 0),
+        "--dtype": (None, ["f32", "f64"], "f32"),
+        "--history": (None, None, None),
+        "--checkpoint": (None, None, None),
+    },
+    "eval": {"--checkpoint": (None, None, None), **_DATA_OPTIONS},
+    "dump-features": {
+        "--checkpoint": (None, None, None),
+        **_DATA_OPTIONS,
+        "--image-index": ("int", None, 0),
+        "--stage": (None, None, "all"),
+        "--reduce": (None, None, "mean"),
+        "--out-dir": (None, None, "."),
+    },
+}
+
+
+def test_parser_options_choices_and_defaults():
+    from caterpillar.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    seen = {}
+    for command, parser in sub.choices.items():
+        seen[command] = {
+            a.option_strings[0]: (
+                a.type.__name__ if a.type else None,
+                None if a.choices is None else list(a.choices),
+                a.default,
+            )
+            for a in parser._actions if a.option_strings != ["-h", "--help"]
+        }
+        assert all(len(a.option_strings) == 1 for a in parser._actions[1:]), command
+    assert seen == PARSER_OPTIONS

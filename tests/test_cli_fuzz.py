@@ -35,7 +35,8 @@ MODEL = {
     "--ffn-ratio": ("2", "1", "0", "-1"),
     "--local-mixer": ("spc", "dwconv", "identity", "conv3x3", "bogus"),
     "--combine": ("LG", "weighted_sum", "concat_reduce", "bogus"),
-    "--spc-config": ("steps=1", "steps=x", "steps=-1", "directions=8", "padding=bogus", ""),
+    "--spc-config": ("steps=1", "steps=x", "steps=-1", "directions=8", "padding=bogus", "",
+                     "directions=up+down+left"),
     "--channel-schedule": ("8,16,32,64", "8,16,32", "0,8,8,8"),
     "--resolution": ("16", "8", "1", "0", "-1"),
     "--family": ("caterpillar", "resnet18", "bogus"),

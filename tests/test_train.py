@@ -4,10 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from caterpillar.blocks import BlockConfig
+from caterpillar.blocks import COMBINE_STRATEGIES, LOCAL_MIXERS, BlockConfig
 from caterpillar.data import synth_blobs
 from caterpillar.errors import ConfigError, NumericError
-from caterpillar.models import ModelSpec, build_model
+from caterpillar.models import ModelSpec, ResnetSpec, build_model
 from caterpillar.tensor import Rng, max_rel_error
 from caterpillar.train import (
     AdamW,
@@ -134,6 +134,30 @@ class TestAdamW:
         named[3][1].grad[...] = np.nan
         with pytest.raises(NumericError, match=named[3][0]):
             opt.step(1e-3)
+
+    @pytest.mark.parametrize("spec", [
+        *(ModelSpec(variant="custom", base_width=8, depths=(1, 1, 1, 1), patch_size=1,
+                    input=(16, 16, 3), num_classes=4,
+                    block=BlockConfig(local_mixer=mixer, combine=combine, ffn_ratio=2))
+          for mixer in LOCAL_MIXERS for combine in COMBINE_STRATEGIES),
+        *(ResnetSpec(n_c=4, local_mixer=mixer, num_classes=4, input=(16, 16, 3))
+          for mixer in ("conv3x3", "spc")),
+    ], ids=lambda spec: spec.serialize().replace("\n", " "))
+    def test_decay_exactly_the_matrices(self, spec):
+        # With zero gradients a step is pure decay: every parameter of rank
+        # >= 2 shrinks by lr * weight_decay, and every bias, norm scale and
+        # scalar weight stays as it was.
+        model = build_model(spec)
+        named = list(model.named_parameters())
+        before = [p.value.copy() for _, p in named]
+        cfg = TrainConfig(total_steps=10)
+        AdamW(named, cfg).step(1e-2)
+        for (name, p), old in zip(named, before):
+            if old.ndim >= 2:
+                npt.assert_array_equal(p.value, old - 1e-2 * cfg.weight_decay * old, err_msg=name)
+                assert np.any(p.value != old), name
+            else:
+                npt.assert_array_equal(p.value, old, err_msg=name)
 
 
 class TestLoss:
