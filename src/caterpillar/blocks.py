@@ -76,8 +76,7 @@ class MixerBlock(Sequential):
     of each combine strategy.
     """
 
-    def __init__(self, h: int, w: int, c: int, cfg: BlockConfig, rng: Rng | None = None):
-        rng = rng or Rng(0)
+    def __init__(self, h: int, w: int, c: int, cfg: BlockConfig, rng: Rng):
         self.cfg = cfg
         self.c = c
         self.bn1 = BatchNorm2d(c)

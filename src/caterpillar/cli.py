@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .blocks import COMBINE_STRATEGIES, BlockConfig, MixerBlock
+from .blocks import COMBINE_STRATEGIES, LOCAL_MIXERS, BlockConfig, MixerBlock
 from .data import LabeledImages, load_cifar10_binary, load_idx, load_raw_blob, synth_blobs
 from .errors import CaterpillarError, ConfigError, parse_int, parse_ints
 from .layers import (
@@ -35,6 +35,7 @@ from .layers import (
     finite_diff_check,
 )
 from .models import (
+    RESNET_MIXERS,
     SPEC_KEYS,
     VARIANT_PRESETS,
     ModelSpec,
@@ -77,7 +78,7 @@ _MODEL_FLAGS = (
     ("--classes", "num_classes", dict(type=int, help="classifier outputs")),
     ("--channel-schedule", "channel_schedule", dict(help="explicit stage widths c1,c2,c3,c4")),
     ("--local-mixer", "local_mixer",
-     dict(help="caterpillar: spc|dwconv|identity;  resnet18: conv3x3|spc")),
+     dict(help=f"caterpillar: {'|'.join(LOCAL_MIXERS)};  resnet18: {'|'.join(RESNET_MIXERS)}")),
     ("--combine", "combine", dict(choices=COMBINE_STRATEGIES, help="token-mixing strategy")),
     ("--ffn-ratio", "ffn_ratio", dict(type=int, help="FFN expansion ratio")),
 )
@@ -487,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paramcount", help="parameter and MAC accounting")
     _add_model_args(p)
-    p.add_argument("--compare-local", choices=("dwconv", "identity", "spc"))
+    p.add_argument("--compare-local", choices=sorted(LOCAL_MIXERS))
     p.add_argument("--csv", help="write the per-parameter table here")
     p.set_defaults(fn=cmd_paramcount)
 

@@ -98,8 +98,11 @@ _IDX_IMAGE_MAGIC = 0x00000803
 _IDX_LABEL_MAGIC = 0x00000801
 
 
-def load_idx(image_path: str, label_path: str, class_count: int | None = None) -> LabeledImages:
-    """Parse an IDX image/label file pair (Fashion-MNIST layout)."""
+def load_idx(image_path: str, label_path: str) -> LabeledImages:
+    """Parse an IDX image/label file pair (Fashion-MNIST layout).
+
+    The class count is the largest label + 1 (1 for an empty set).
+    """
     with open(image_path, "rb") as f:
         raw = f.read()
     if len(raw) < 16:
@@ -134,8 +137,7 @@ def load_idx(image_path: str, label_path: str, class_count: int | None = None) -
     if len(lraw) != 8 + ln:
         raise FormatError(f"{label_path}: expected {8 + ln} bytes, got {len(lraw)}")
     labels = np.frombuffer(lraw, dtype=np.uint8, offset=8).astype(np.int64)
-    k = class_count if class_count is not None else int(labels.max()) + 1 if ln else 1
-    return LabeledImages(images, labels, k)
+    return LabeledImages(images, labels, int(labels.max()) + 1 if ln else 1)
 
 
 def save_idx(image_path: str, label_path: str, data: LabeledImages) -> None:
@@ -184,13 +186,11 @@ def save_raw_blob(path: str, data: LabeledImages) -> None:
         f.write(data.labels.astype("<u4").tobytes())
 
 
-def synth_blobs(
-    seed: int, n: int, h: int, w: int, cin: int, k: int, sigma: float = 0.1
-) -> LabeledImages:
+def synth_blobs(seed: int, n: int, h: int, w: int, cin: int, k: int) -> LabeledImages:
     """Seeded synthetic classification set: per-class template + clipped noise.
 
     Class templates are uniform in [0, 1]; sample i gets label i mod k and its
-    class template plus N(0, sigma^2) noise, clipped back to [0, 1].
+    class template plus N(0, 0.1^2) noise, clipped back to [0, 1].
     """
     if min(h, w, cin) < 1:
         raise FormatError(f"synth: image dims must be >= 1, got {(h, w, cin)}")
@@ -202,9 +202,8 @@ def synth_blobs(
     templates = rng.uniform(k * h * w * cin).reshape(k, h, w, cin)
     labels = np.arange(n, dtype=np.int64) % k
     images = templates[labels]  # a fresh array, so noise and clip go in place
-    if sigma > 0:
-        noise = rng.normal(n * h * w * cin).reshape(n, h, w, cin)
-        noise *= sigma
-        images += noise
+    noise = rng.normal(n * h * w * cin).reshape(n, h, w, cin)
+    noise *= 0.1
+    images += noise
     np.clip(images, 0.0, 1.0, out=images)
     return LabeledImages(images, labels, k)

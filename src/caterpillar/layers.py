@@ -179,10 +179,10 @@ class Module:
         return kept
 
 
-def trunc_normal_init(rng: Rng, shape: tuple, std: float = 0.02) -> np.ndarray:
+def trunc_normal_init(rng: Rng, shape: tuple) -> np.ndarray:
     """Truncated-normal weight init: std 0.02, clipped at two sigmas."""
     # math.prod, not np.prod: an int64 product can wrap to a small count.
-    return rng.truncated_normal(math.prod(shape), std=std, clip=2.0).reshape(shape)
+    return rng.truncated_normal(math.prod(shape), std=0.02, clip=2.0).reshape(shape)
 
 
 class Sequential(Module):
@@ -270,8 +270,7 @@ class Identity(Module):
 class Linear(Module):
     """Per-pillar fully connected layer: (..., cin) -> (..., cout)."""
 
-    def __init__(self, cin: int, cout: int, rng: Rng | None = None):
-        rng = rng or Rng(0)
+    def __init__(self, cin: int, cout: int, rng: Rng):
         self.cin = cin
         self.cout = cout
         self.w = Parameter(trunc_normal_init(rng, (cin, cout)))
@@ -593,10 +592,9 @@ class FFN(Sequential):
     the layers' own forward.
     """
 
-    def __init__(self, c: int, ratio: int = 3, rng: Rng | None = None):
+    def __init__(self, c: int, ratio: int, rng: Rng):
         if ratio < 1:
             raise ShapeError(f"ffn: expansion ratio must be >= 1, got {ratio}")
-        rng = rng or Rng(0)
         self.fc1 = Linear(c, ratio * c, rng=rng)
         self.fc2 = Linear(ratio * c, c, rng=rng)
         self.act = GELU()
@@ -661,9 +659,9 @@ class Conv2d(Module):
         cout: int,
         stride: int = 1,
         padding: str = "same",
-        rng: Rng | None = None,
+        *,
+        rng: Rng,
     ):
-        rng = rng or Rng(0)
         self.k, self.cin, self.cout = k, cin, cout
         self.stride, self.padding = stride, padding
         self.w = Parameter(trunc_normal_init(rng, (k, k, cin, cout)))
@@ -734,10 +732,9 @@ class DWConv2d(Module):
     Stride 1, same padding.  Forward keeps its unpadded input; backward pads it again.
     """
 
-    def __init__(self, k: int, c: int, rng: Rng | None = None):
+    def __init__(self, k: int, c: int, rng: Rng):
         if k % 2 == 0:
             raise ShapeError(f"dwconv: kernel must be odd, got {k}")
-        rng = rng or Rng(0)
         self.k, self.c = k, c
         self.w = Parameter(trunc_normal_init(rng, (k, k, c)))
         self.b = Parameter(np.zeros(c))
@@ -874,16 +871,16 @@ class GlobalAvgPool(Module):
 def finite_diff_check(
     module: Module,
     x: np.ndarray,
-    eps: float = 1e-5,
     seed: int = 0,
     training: bool = True,
 ) -> float:
     """Max relative gap between analytic gradients and central differences.
 
     The scalar objective is sum(forward(x) * R) for a fixed random R.  All
-    input elements and all parameter elements are perturbed; the relative
-    error is |a - n| / max(1, |a|, |n|).  Requires float64 throughout.
+    input elements and all parameter elements are perturbed by +-1e-5; the
+    relative error is |a - n| / max(1, |a|, |n|).  Requires float64 throughout.
     """
+    eps = 1e-5
     x = np.asarray(x, dtype=np.float64)
     y0 = module.forward(x, training)
     r = Rng(seed).normal(y0.size).reshape(y0.shape)

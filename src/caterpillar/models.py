@@ -57,8 +57,10 @@ VARIANT_PRESETS = {
     "B": (112, (2, 10, 24, 2)),
 }
 
+RESNET_MIXERS = ("conv3x3", "spc")  # what replaces each 3x3 conv in a basic block
+
 SMALL_IMAGE_PROFILES = {
-    # profile: (input (H, W, Cin), pyramid patch size, default classes)
+    # profile: (input (H, W, Cin), pyramid patch size, classes)
     "MIN": ((84, 84, 3), 3, 100),
     "CIFAR": ((32, 32, 3), 1, 10),
     "FASHION": ((28, 28, 1), 1, 10),
@@ -148,14 +150,14 @@ class ResnetSpec:
     family: ClassVar[str] = "resnet18"
 
     n_c: int = 64
-    local_mixer: str = "conv3x3"  # conv3x3 | spc
+    local_mixer: str = "conv3x3"  # one of RESNET_MIXERS
     num_classes: int = 1000
     input: tuple[int, int, int] = (224, 224, 3)
     small_stem: bool | None = None  # None: auto (3x3 stride-1 stem below 64 px)
     spc: SpcConfig = field(default_factory=SpcConfig)
 
     def __post_init__(self):
-        if self.local_mixer not in ("conv3x3", "spc"):
+        if self.local_mixer not in RESNET_MIXERS:
             raise ConfigError(f"resnet spec: unknown local mixer {self.local_mixer!r}")
         for name, n in (("n_c", None), ("num_classes", None), ("input", 3)):
             object.__setattr__(self, name, _check_ints(getattr(self, name), name, n))
@@ -292,24 +294,19 @@ def parse_model_spec(text: str) -> "ModelSpec | ResnetSpec":
     return decode_spec(split_spec(text))
 
 
-def adapt_small_images(spec: ModelSpec, profile: str, num_classes: int | None = None) -> ModelSpec:
+def adapt_small_images(spec: ModelSpec, profile: str) -> ModelSpec:
     """Re-target a pyramid spec at a small-image dataset profile.
 
-    Sets the dataset's native input size and the pyramid patch size (3 for
-    84 px inputs, 1 for 32/28 px inputs); stages whose extent cannot halve
-    keep their resolution (channels still double).
+    Sets the dataset's native input size, its class count and the pyramid
+    patch size (3 for 84 px inputs, 1 for 32/28 px inputs); stages whose
+    extent cannot halve keep their resolution (channels still double).
     """
     if profile not in SMALL_IMAGE_PROFILES:
         raise ConfigError(
             f"unknown dataset profile {profile!r}, choose from {sorted(SMALL_IMAGE_PROFILES)}"
         )
-    inp, patch, default_classes = SMALL_IMAGE_PROFILES[profile]
-    return dataclasses.replace(
-        spec,
-        input=inp,
-        patch_size=patch,
-        num_classes=default_classes if num_classes is None else num_classes,
-    )
+    inp, patch, classes = SMALL_IMAGE_PROFILES[profile]
+    return dataclasses.replace(spec, input=inp, patch_size=patch, num_classes=classes)
 
 
 class _Chain(Sequential):
@@ -566,8 +563,8 @@ def save_checkpoint(path: str, model: Module) -> None:
             f.write(blob.tobytes())
 
 
-def load_checkpoint(path: str, dtype=np.float32) -> Module:
-    """Rebuild the model from the stored spec and restore every tensor."""
+def load_checkpoint(path: str) -> Module:
+    """Rebuild the model from the stored spec and restore every tensor, in float32."""
     with open(path, "rb") as f:
         raw = f.read()
     nl = raw.find(b"\n")
@@ -583,7 +580,8 @@ def load_checkpoint(path: str, dtype=np.float32) -> Module:
         at = nl + 1 + exc.start
         raise FormatError(f"checkpoint {path}: header byte {at} is not UTF-8") from None
     count_s = raw[marker + 6 : data_line_end].decode("utf-8", "replace")
-    if not count_s.isdigit():
+    # ASCII only: str.isdigit() also accepts digits such as "²" that int() rejects
+    if not (count_s.isascii() and count_s.isdigit()):
         raise FormatError(f"checkpoint {path}: bad DATA count {count_s!r}")
     count = int(count_s)
     blob = raw[data_line_end + 1 :]
@@ -594,7 +592,7 @@ def load_checkpoint(path: str, dtype=np.float32) -> Module:
     data = np.frombuffer(blob, dtype="<f4")
     spec_text, _, manifest_text = header.partition("[tensors]\n")
     spec = parse_model_spec(spec_text)
-    model = build_model(spec, seed=0).astype(dtype)
+    model = build_model(spec, seed=0).astype(np.float32)
     entries = {}
     for line in manifest_text.strip().splitlines():
         try:
@@ -603,6 +601,8 @@ def load_checkpoint(path: str, dtype=np.float32) -> Module:
             offset = int(offset_s)
         except ValueError:
             raise FormatError(f"checkpoint {path}: bad manifest line {line!r}") from None
+        if name in entries:
+            raise FormatError(f"checkpoint {path}: tensor {name} is listed twice")
         if offset < 0 or min(shape, default=0) < 0 or offset + int(np.prod(shape)) > count:
             raise FormatError(f"checkpoint {path}: tensor {name} lies outside the data blob")
         entries[name] = (shape, offset)

@@ -24,8 +24,7 @@ from .tensor import Rng, ensure_nhwc
 class Smlp(Module):
     """Row mix + column mix + identity, concatenated and fused back to C."""
 
-    def __init__(self, h: int, w: int, c: int, rng: Rng | None = None):
-        rng = rng or Rng(0)
+    def __init__(self, h: int, w: int, c: int, rng: Rng):
         self.h, self.w, self.c = h, w, c
         self.row_w = Parameter(trunc_normal_init(rng, (w, w)))
         self.row_b = Parameter(np.zeros(w))

@@ -327,9 +327,9 @@ class Spc(Module):
         cin: int,
         cout: int | None = None,
         cfg: SpcConfig | None = None,
-        rng: Rng | None = None,
+        *,
+        rng: Rng,
     ):
-        rng = rng or Rng(0)
         cfg = cfg or SpcConfig()
         cout = cin if cout is None else cout
         self.cin, self.cout, self.cfg = cin, cout, cfg

@@ -4,6 +4,8 @@ The loop is deterministic given the seed: shuffling comes from the package
 RNG, shards are visited in a fixed order, and history rows are appended
 every step.  The logged accuracy is the training-batch top-1 from the same
 forward pass that produced the loss; evaluate() runs eval-mode batchnorm.
+AdamW runs with the fixed betas (0.9, 0.999) and eps 1e-8 of Loshchilov &
+Hutter (2019).
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from .errors import ConfigError, NumericError, ShapeError
 from .layers import Module, Parameter
 from .tensor import Rng
 
+ADAMW_BETAS = (0.9, 0.999)
+ADAMW_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -26,8 +31,6 @@ class TrainConfig:
     warmup_lr: float = 1e-6
     total_steps: int = 100
     weight_decay: float = 0.05
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     label_smoothing: float = 0.1
     batch_size: int = 64
     seed: int = 0
@@ -38,7 +41,7 @@ class TrainConfig:
                 f"train config: warmup {self.warmup_steps} must be < total {self.total_steps}"
             )
         # Written so that NaN fails every range check.
-        for name in ("lr_peak", "lr_min", "warmup_lr", "eps"):
+        for name in ("lr_peak", "lr_min", "warmup_lr"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(
                     f"train config: {name} must be finite and > 0, got {getattr(self, name)}"
@@ -53,8 +56,6 @@ class TrainConfig:
             raise ConfigError(
                 f"train config: weight_decay must be finite and >= 0, got {self.weight_decay}"
             )
-        if not all(0 <= b < 1 for b in self.betas):
-            raise ConfigError(f"train config: betas must lie in [0, 1), got {self.betas}")
 
 
 def cosine_lr(step: int, cfg: TrainConfig) -> float:
@@ -80,7 +81,7 @@ def adamw_step(
     decay: bool = True,
 ) -> None:
     """One decoupled-weight-decay Adam update, in place (t counts from 1)."""
-    b1, b2 = cfg.betas
+    b1, b2 = ADAMW_BETAS
     m *= b1
     m += (1 - b1) * grad
     v *= b2
@@ -89,7 +90,7 @@ def adamw_step(
     vhat = v / (1 - b2**t)
     if decay and cfg.weight_decay:
         value -= lr * cfg.weight_decay * value
-    value -= lr * mhat / (np.sqrt(vhat) + cfg.eps)
+    value -= lr * mhat / (np.sqrt(vhat) + ADAMW_EPS)
 
 
 class AdamW:

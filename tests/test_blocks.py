@@ -168,7 +168,8 @@ class TestBlockMacs:
     @pytest.mark.parametrize("mixer", LOCAL_MIXERS)
     def test_closed_form(self, combine, mixer):
         n, h, w, c, r = 2, 5, 6, 8, 3
-        block = MixerBlock(h, w, c, BlockConfig(local_mixer=mixer, combine=combine, ffn_ratio=r))
+        cfg = BlockConfig(local_mixer=mixer, combine=combine, ffn_ratio=r)
+        block = MixerBlock(h, w, c, cfg, rng=Rng(0))
         p = n * h * w
         local = {"spc": 2 * c * c, "dwconv": 9 * c, "identity": 0}[mixer]
         smlp = c * (w + h) + 3 * c * c

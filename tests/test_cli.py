@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import resource
@@ -19,6 +20,7 @@ from caterpillar.cli import (
 from caterpillar.blocks import BlockConfig
 from caterpillar.data import synth_blobs
 from caterpillar.models import ModelSpec, ResNetModel, ResnetSpec, build_model, save_checkpoint
+from caterpillar.train import TrainConfig
 
 
 def run_cli(capsys, *argv):
@@ -373,6 +375,10 @@ class TestTypedErrors:
         "pattern, repl, needle",
         [
             (rb"\nDATA \d+\n", b"\nDATA zz\n", "DATA"),
+            # "²" passes str.isdigit() but not int()
+            (rb"\nDATA \d+\n", b"\nDATA \xc2\xb2\n", "DATA count"),
+            # the second line alone would load; the first overlaps embed.w
+            (rb"\nembed.b 8 24\n", b"\nembed.b 8 0\nembed.b 8 24\n", "embed.b is listed twice"),
             (rb"\nembed.w 1x1x3x8 0\n", b"\nembed.w 1x1x3x8\n", "manifest"),
             (rb"\nembed.w 1x1x3x8 0\n", b"\nembed.w 1xbx3x8 0\n", "manifest"),
             (rb"\nembed.w 1x1x3x8 0\n", b"\nembed.w 1x1x3x8 99999999\n", "embed.w"),
@@ -756,6 +762,13 @@ PARSER_OPTIONS = {
         "--out-dir": (None, None, "."),
     },
 }
+
+
+def test_every_train_config_field_has_a_flag():
+    from caterpillar.cli import _TRAIN_FLAGS
+
+    fields = sorted(f.name for f in dataclasses.fields(TrainConfig))
+    assert fields == sorted(field for _, field in _TRAIN_FLAGS)
 
 
 def test_parser_options_choices_and_defaults():

@@ -657,6 +657,24 @@ class TestSerialization:
         with pytest.raises(FormatError):
             load_checkpoint(str(bad))
 
+    @pytest.mark.parametrize(
+        "old, new, needle",
+        [
+            # "²" passes str.isdigit() but not int()
+            (b"\nDATA ", b"\nDATA \xc2\xb2", "DATA count"),
+            # the first line's span overlaps embed.w; the second line alone would load
+            (b"\nembed.b 8 24\n", b"\nembed.b 8 0\nembed.b 8 24\n", "embed.b is listed twice"),
+        ],
+    )
+    def test_checkpoint_rejects_malformed_header(self, tmp_path, old, new, needle):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), build_model(MICRO))
+        raw = path.read_bytes()
+        assert raw.count(old) == 1
+        path.write_bytes(raw.replace(old, new))
+        with pytest.raises(FormatError, match=needle):
+            load_checkpoint(str(path))
+
     def test_resnet_checkpoint_roundtrip(self, tmp_path):
         model = build_model(ResnetSpec(8, "spc", 4, (16, 16, 3)), seed=6).astype(np.float32)
         path = tmp_path / "r.ckpt"

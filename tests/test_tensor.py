@@ -24,7 +24,7 @@ SPLITMIX64_SEED42 = [
 
 def linear(w, b=None):
     """A Linear layer holding the given weight (and bias)."""
-    lin = Linear(w.shape[0], w.shape[1])
+    lin = Linear(w.shape[0], w.shape[1], rng=Rng(0))
     lin.w.value = np.asarray(w, dtype=np.float64)
     if b is not None:
         lin.b.value = np.asarray(b, dtype=np.float64)
