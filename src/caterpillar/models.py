@@ -563,6 +563,13 @@ def save_checkpoint(path: str, model: Module) -> None:
             f.write(blob.tobytes())
 
 
+def _ascii_count(text: str) -> int:
+    """int(text) for ASCII digits alone; int() also takes signs, "_" and digits like "²"."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def load_checkpoint(path: str) -> Module:
     """Rebuild the model from the stored spec and restore every tensor, in float32."""
     with open(path, "rb") as f:
@@ -580,10 +587,10 @@ def load_checkpoint(path: str) -> Module:
         at = nl + 1 + exc.start
         raise FormatError(f"checkpoint {path}: header byte {at} is not UTF-8") from None
     count_s = raw[marker + 6 : data_line_end].decode("utf-8", "replace")
-    # ASCII only: str.isdigit() also accepts digits such as "²" that int() rejects
-    if not (count_s.isascii() and count_s.isdigit()):
-        raise FormatError(f"checkpoint {path}: bad DATA count {count_s!r}")
-    count = int(count_s)
+    try:
+        count = _ascii_count(count_s)
+    except ValueError:
+        raise FormatError(f"checkpoint {path}: bad DATA count {count_s!r}") from None
     blob = raw[data_line_end + 1 :]
     if len(blob) != 4 * count:
         raise FormatError(
@@ -597,13 +604,13 @@ def load_checkpoint(path: str) -> Module:
     for line in manifest_text.strip().splitlines():
         try:
             name, shape_s, offset_s = line.rsplit(" ", 2)
-            shape = () if shape_s == "scalar" else tuple(int(d) for d in shape_s.split("x"))
-            offset = int(offset_s)
+            shape = () if shape_s == "scalar" else tuple(map(_ascii_count, shape_s.split("x")))
+            offset = _ascii_count(offset_s)
         except ValueError:
             raise FormatError(f"checkpoint {path}: bad manifest line {line!r}") from None
         if name in entries:
             raise FormatError(f"checkpoint {path}: tensor {name} is listed twice")
-        if offset < 0 or min(shape, default=0) < 0 or offset + int(np.prod(shape)) > count:
+        if offset + int(np.prod(shape)) > count:
             raise FormatError(f"checkpoint {path}: tensor {name} lies outside the data blob")
         entries[name] = (shape, offset)
     spans = sorted((off, off + int(np.prod(shape)), name) for name, (shape, off) in entries.items())

@@ -379,6 +379,11 @@ class TestTypedErrors:
             (rb"\nDATA \d+\n", b"\nDATA \xc2\xb2\n", "DATA count"),
             # the second line alone would load; the first overlaps embed.w
             (rb"\nembed.b 8 24\n", b"\nembed.b 8 0\nembed.b 8 24\n", "embed.b is listed twice"),
+            # int() takes each of these manifest fields as 24 or 8
+            (rb"\nembed.b 8 24\n", "\nembed.b 8 \u0662\u0664\n".encode(), "manifest"),
+            (rb"\nembed.b 8 24\n", b"\nembed.b 8 +24\n", "manifest"),
+            (rb"\nembed.b 8 24\n", b"\nembed.b 8 2_4\n", "manifest"),
+            (rb"\nembed.b 8 24\n", b"\nembed.b +8 24\n", "manifest"),
             (rb"\nembed.w 1x1x3x8 0\n", b"\nembed.w 1x1x3x8\n", "manifest"),
             (rb"\nembed.w 1x1x3x8 0\n", b"\nembed.w 1xbx3x8 0\n", "manifest"),
             (rb"\nembed.w 1x1x3x8 0\n", b"\nembed.w 1x1x3x8 99999999\n", "embed.w"),

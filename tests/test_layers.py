@@ -486,3 +486,26 @@ class TestGradientOnFirstRead:
         assert params[0].grad.dtype == np.float32 and (params[0].grad == 1.0).all()
         assert all(p._grad is None for p in params[1:])
         assert all(p.value.dtype == np.float32 for p in params)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda **kw: Linear(6, 4, **kw),
+        lambda **kw: FFN(4, 2, **kw),
+        lambda **kw: Conv2d(3, 2, 4, **kw),
+        lambda **kw: DWConv2d(3, 4, **kw),
+        lambda **kw: Smlp(4, 4, 8, **kw),
+        lambda **kw: Spc(8, **kw),
+        lambda **kw: MixerBlock(4, 4, 8, BlockConfig(ffn_ratio=2), **kw),
+    ],
+    ids=["Linear", "FFN", "Conv2d", "DWConv2d", "Smlp", "Spc", "MixerBlock"],
+)
+def test_weights_come_from_the_callers_rng(build):
+    """No layer falls back to a generator of its own: rng is required, and it alone sets the weights."""
+    with pytest.raises(TypeError, match="rng"):
+        build()
+    weights = lambda layer: [p.value for p in layer.parameters()]
+    for a, b in zip(weights(build(rng=Rng(5))), weights(build(rng=Rng(5)))):
+        npt.assert_array_equal(a, b)
+    assert any((a != b).any() for a, b in zip(weights(build(rng=Rng(5))), weights(build(rng=Rng(6)))))

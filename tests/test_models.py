@@ -664,6 +664,11 @@ class TestSerialization:
             (b"\nDATA ", b"\nDATA \xc2\xb2", "DATA count"),
             # the first line's span overlaps embed.w; the second line alone would load
             (b"\nembed.b 8 24\n", b"\nembed.b 8 0\nembed.b 8 24\n", "embed.b is listed twice"),
+            # int() takes each of these manifest fields as 24 or 8
+            (b"\nembed.b 8 24\n", "\nembed.b 8 \u0662\u0664\n".encode(), "manifest"),
+            (b"\nembed.b 8 24\n", b"\nembed.b 8 +24\n", "manifest"),
+            (b"\nembed.b 8 24\n", b"\nembed.b 8 2_4\n", "manifest"),
+            (b"\nembed.b 8 24\n", b"\nembed.b +8 24\n", "manifest"),
         ],
     )
     def test_checkpoint_rejects_malformed_header(self, tmp_path, old, new, needle):
