@@ -47,12 +47,15 @@ from .models import (
     estimate_flops,
     load_checkpoint,
     local_mixer_param_count,
+    parse_spc_config,
     save_checkpoint,
     set_spec_key,
+    spc_config_text,
+    split_pairs,
     split_spec,
 )
 from .smlp import Smlp
-from .spc import DIRECTION_PRESETS, MIXING_WAYS, PADDING_MODES, Spc, SpcConfig, split_pairs
+from .spc import DIRECTION_PRESETS, MIXING_WAYS, PADDING_MODES, Spc, SpcConfig
 from .tensor import Rng
 from .train import TrainConfig, evaluate, train_loop
 
@@ -259,7 +262,7 @@ def _gradcheck_cases(spc_override: str | None) -> list:
         ("smlp", "4x4x8", lambda r: Smlp(4, 4, 8, rng=r), shape44, 1e-6),
     ]
     if spc_override is not None:
-        spc_cfgs = [SpcConfig.parse(spc_override)]
+        spc_cfgs = [parse_spc_config(spc_override)]
     else:
         spc_cfgs = [
             SpcConfig.preset(nd, steps=s, padding=pad, mixing=mix)
@@ -272,7 +275,7 @@ def _gradcheck_cases(spc_override: str | None) -> list:
         # the smallest width >= 8 that every direction's reduction divides
         n = cfg.n_directions if cfg.reduces_channels else 1
         c = -(-8 // n) * n
-        cases.append(("spc", cfg.serialize(), lambda r, cfg=cfg, c=c: Spc(c, cfg=cfg, rng=r),
+        cases.append(("spc", spc_config_text(cfg), lambda r, cfg=cfg, c=c: Spc(c, cfg=cfg, rng=r),
                       (1, 5, 5, c), 1e-6))
     combos = [("spc", combine) for combine in COMBINE_STRATEGIES]
     combos += [("dwconv", "LG"), ("identity", "LG")]
@@ -355,7 +358,7 @@ def cmd_bench(args) -> int:
         x = Rng(args.seed + 1).normal(int(np.prod(shape))).reshape(shape).astype(dtype)
         macs = layer.macs(shape)
         mac_values[op] = macs
-        cfg_text = layer.cfg.serialize() if op == "spc" else f"k=3;c={args.channels}"
+        cfg_text = spc_config_text(layer.cfg) if op == "spc" else f"k=3;c={args.channels}"
         for direction in directions:
             def body():
                 y = layer.forward(x, training=True)

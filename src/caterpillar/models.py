@@ -31,7 +31,7 @@ import numpy as np
 
 from .blocks import BlockConfig, MixerBlock, block_param_count
 from .errors import BuildError, CaterpillarError, ConfigError, FormatError, ShapeError
-from .errors import parse_int, parse_ints
+from .errors import ascii_count, parse_int, parse_ints
 from .layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -46,7 +46,7 @@ from .layers import (
     Sequential,
     no_backward,
 )
-from .spc import Spc, SpcConfig
+from .spc import DIRECTION_PRESETS, Spc, SpcConfig
 from .tensor import _MAX_DRAWS, Rng
 
 VARIANT_PRESETS = {
@@ -186,17 +186,29 @@ def _decode_yes_no(text: str, what: str) -> bool:
     return text == "yes"
 
 
+def _decode_directions(text: str, what: str) -> tuple[str, ...]:
+    """A DIRECTION_PRESETS number in ASCII digits, or an explicit list a+b+c."""
+    if text.isascii() and text.isdigit():
+        return SpcConfig.preset(int(text)).directions
+    return tuple(d.strip() for d in text.split("+"))
+
+
+_PRESET_NUMBERS = {dirs: str(n) for n, dirs in DIRECTION_PRESETS.items()}
+
 # Value kinds: (encode value -> text, decode (text, what) -> value).
 _INT = (str, parse_int)
 _INTS = (lambda v: ",".join(str(d) for d in v), parse_ints)
 _STR = (str, lambda text, what: text)
 _YES_NO = (lambda v: "yes" if v else "no", _decode_yes_no)
+_DIRECTIONS = (lambda v: _PRESET_NUMBERS.get(v, "+".join(v)), _decode_directions)
 
 # The model spec text format: per family, each [section] in written order
 # with the class it builds and its keys in written order, each with its
 # kind.  A key names the field it sets; a section after [model] is the
 # field of that name on the section before it (spec.block, spec.block.spc).
-# [spc] holds SpcConfig's own key=value pairs.  `family` picks the table.
+# Both families share the [spc] entry.  `family` picks the table.
+_SPC_SECTION = (SpcConfig, {"directions": _DIRECTIONS, "steps": _INT, "padding": _STR,
+                            "mixing": _STR})
 SPEC_KEYS = {
     "caterpillar": {
         "model": (ModelSpec, {"family": _STR, "variant": _STR, "base_width": _INT, "depths": _INTS,
@@ -204,14 +216,32 @@ SPEC_KEYS = {
                               "channel_schedule": _INTS}),
         "block": (BlockConfig, {"local_mixer": _STR, "combine": _STR, "ffn_ratio": _INT,
                                 "dw_kernel": _INT}),
-        "spc": (SpcConfig, None),
+        "spc": _SPC_SECTION,
     },
     "resnet18": {
         "model": (ResnetSpec, {"family": _STR, "n_c": _INT, "local_mixer": _STR,
                                "num_classes": _INT, "input": _INTS, "small_stem": _YES_NO}),
-        "spc": (SpcConfig, None),
+        "spc": _SPC_SECTION,
     },
 }
+
+
+def _encode_section(keys: dict, obj) -> list[str]:
+    """obj's key=value texts in table order; a None value is left out."""
+    return [f"{key}={encode(getattr(obj, key))}" for key, (encode, _) in keys.items()
+            if getattr(obj, key) is not None]
+
+
+def _decode_section(entry: tuple, pairs: dict[str, str], where: str, **inner):
+    """Build entry's class from one section's key=value texts; every key must be in its table."""
+    cls, keys = entry
+    kwargs = {}
+    for key, text in pairs.items():
+        if key not in keys:
+            raise ConfigError(f"model spec: {where} has no key {key!r}")
+        kwargs[key] = keys[key][1](text, f"model spec: {key}")
+    kwargs.pop("family", None)  # picks the table; a class constant, not a field
+    return cls(**kwargs, **inner)
 
 
 def _write_spec(spec) -> str:
@@ -219,15 +249,22 @@ def _write_spec(spec) -> str:
     obj = spec
     for section, (_, keys) in SPEC_KEYS[spec.family].items():
         obj = getattr(obj, section, obj)  # [model] is the spec itself
-        lines.append(f"[{section}]")
-        if keys is None:
-            lines += obj.serialize().split(";")
-            continue
-        for key, (encode, _) in keys.items():
-            value = getattr(obj, key)
-            if value is not None:
-                lines.append(f"{key}={encode(value)}")
+        lines += [f"[{section}]", *_encode_section(keys, obj)]
     return "\n".join(lines) + "\n"
+
+
+def split_pairs(text: str) -> dict[str, str]:
+    """Split flat `key=value` text (`;` or `,` between pairs) into an ordered dict."""
+    pairs = {}
+    for chunk in text.replace(",", ";").split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if "=" not in chunk:
+            raise ConfigError(f"spc config: expected key=value, got {chunk!r}")
+        key, value = (t.strip() for t in chunk.split("=", 1))
+        pairs[key] = value
+    return pairs
 
 
 def split_spec(text: str) -> dict[str, dict[str, str]]:
@@ -260,7 +297,7 @@ def set_spec_key(sections: dict, key: str, text: str, what: str) -> None:
     """Write key=text into the section of the family's table that holds key."""
     family, table = _family_table(sections)
     for section, (_, keys) in table.items():
-        if keys is not None and key in keys:
+        if key in keys:
             sections.setdefault(section, {})[key] = text
             return
     raise ConfigError(f"{what}: a {family} spec has no {key} key")
@@ -273,18 +310,8 @@ def decode_spec(sections: dict[str, dict[str, str]]) -> "ModelSpec | ResnetSpec"
         if section not in table:
             raise ConfigError(f"model spec: a {family} spec has no [{section}] section")
     inner = {}  # innermost section first: each object is a field of the one before it
-    for section, (cls, keys) in reversed(table.items()):
-        pairs = sections.get(section, {})
-        if keys is None:
-            obj = cls.parse(pairs)
-        else:
-            kwargs = {}
-            for key, text in pairs.items():
-                if key not in keys:
-                    raise ConfigError(f"model spec: a {family} [{section}] has no key {key!r}")
-                kwargs[key] = keys[key][1](text, f"model spec: {key}")
-            kwargs.pop("family", None)  # picks the table; a class constant, not a field
-            obj = cls(**kwargs, **inner)
+    for section, entry in reversed(table.items()):
+        obj = _decode_section(entry, sections.get(section, {}), f"a {family} [{section}]", **inner)
         inner = {section: obj}
     return obj
 
@@ -292,6 +319,16 @@ def decode_spec(sections: dict[str, dict[str, str]]) -> "ModelSpec | ResnetSpec"
 def parse_model_spec(text: str) -> "ModelSpec | ResnetSpec":
     """Parse the key=value spec format; dispatches on [model] family."""
     return decode_spec(split_spec(text))
+
+
+def spc_config_text(cfg: SpcConfig) -> str:
+    """cfg's [spc] key=value pairs joined by `;`."""
+    return ";".join(_encode_section(_SPC_SECTION[1], cfg))
+
+
+def parse_spc_config(text: str) -> SpcConfig:
+    """SpcConfig from [spc] key=value pairs split by `;` or `,`; a missing key takes its default."""
+    return _decode_section(_SPC_SECTION, split_pairs(text), "[spc]")
 
 
 def adapt_small_images(spec: ModelSpec, profile: str) -> ModelSpec:
@@ -563,13 +600,6 @@ def save_checkpoint(path: str, model: Module) -> None:
             f.write(blob.tobytes())
 
 
-def _ascii_count(text: str) -> int:
-    """int(text) for ASCII digits alone; int() also takes signs, "_" and digits like "²"."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(text)
-    return int(text)
-
-
 def load_checkpoint(path: str) -> Module:
     """Rebuild the model from the stored spec and restore every tensor, in float32."""
     with open(path, "rb") as f:
@@ -588,7 +618,7 @@ def load_checkpoint(path: str) -> Module:
         raise FormatError(f"checkpoint {path}: header byte {at} is not UTF-8") from None
     count_s = raw[marker + 6 : data_line_end].decode("utf-8", "replace")
     try:
-        count = _ascii_count(count_s)
+        count = ascii_count(count_s)
     except ValueError:
         raise FormatError(f"checkpoint {path}: bad DATA count {count_s!r}") from None
     blob = raw[data_line_end + 1 :]
@@ -597,15 +627,17 @@ def load_checkpoint(path: str) -> Module:
             f"checkpoint {path}: data blob has {len(blob)} bytes, expected {4 * count}"
         )
     data = np.frombuffer(blob, dtype="<f4")
-    spec_text, _, manifest_text = header.partition("[tensors]\n")
+    spec_text, tensors_line, manifest_text = f"\n{header}".partition("\n[tensors]\n")
+    if not tensors_line:
+        raise FormatError(f"checkpoint {path}: no [tensors] line")
     spec = parse_model_spec(spec_text)
     model = build_model(spec, seed=0).astype(np.float32)
     entries = {}
     for line in manifest_text.strip().splitlines():
         try:
             name, shape_s, offset_s = line.rsplit(" ", 2)
-            shape = () if shape_s == "scalar" else tuple(map(_ascii_count, shape_s.split("x")))
-            offset = _ascii_count(offset_s)
+            shape = () if shape_s == "scalar" else tuple(map(ascii_count, shape_s.split("x")))
+            offset = ascii_count(offset_s)
         except ValueError:
             raise FormatError(f"checkpoint {path}: bad manifest line {line!r}") from None
         if name in entries:

@@ -49,13 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    ReflectRangeError,
-    ShapeError,
-    ShiftRangeError,
-    parse_int,
-)
+from .errors import ConfigError, ReflectRangeError, ShapeError, ShiftRangeError
 from .layers import Linear, Module, _channel_sum, keeping, no_backward
 from .tensor import Rng, ensure_nhwc
 
@@ -152,53 +146,6 @@ class SpcConfig:
         if n not in DIRECTION_PRESETS:
             raise ConfigError(f"spc config: no direction preset for N={n}")
         return cls(directions=DIRECTION_PRESETS[n], **overrides)
-
-    def serialize(self) -> str:
-        """Flat key-value form: directions=<preset|a+b+c>;steps=..;padding=..;mixing=.."""
-        for n, preset in DIRECTION_PRESETS.items():
-            if self.directions == preset:
-                dirs = str(n)
-                break
-        else:
-            dirs = "+".join(self.directions)
-        return f"directions={dirs};steps={self.steps};padding={self.padding};mixing={self.mixing}"
-
-    @classmethod
-    def parse(cls, pairs: "str | dict[str, str]") -> "SpcConfig":
-        """Parse the flat form, or its split_pairs dict; missing keys take the defaults."""
-        if isinstance(pairs, str):
-            pairs = split_pairs(pairs)
-        kwargs = {}
-        for key, value in pairs.items():
-            if key == "directions":
-                if value.isdecimal():
-                    n = int(value)
-                    if n not in DIRECTION_PRESETS:
-                        raise ConfigError(f"spc config: no direction preset for N={n}")
-                    kwargs["directions"] = DIRECTION_PRESETS[n]
-                else:
-                    kwargs["directions"] = tuple(v.strip() for v in value.split("+"))
-            elif key == "steps":
-                kwargs["steps"] = parse_int(value, "spc config: steps")
-            elif key in ("padding", "mixing"):
-                kwargs[key] = value
-            else:
-                raise ConfigError(f"spc config: unknown key {key!r}")
-        return cls(**kwargs)
-
-
-def split_pairs(text: str) -> dict[str, str]:
-    """Split flat `key=value` text (`;` or `,` between pairs) into an ordered dict."""
-    pairs = {}
-    for chunk in text.replace(",", ";").split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise ConfigError(f"spc config: expected key=value, got {chunk!r}")
-        key, value = (t.strip() for t in chunk.split("=", 1))
-        pairs[key] = value
-    return pairs
 
 
 def _shift_plan(direction: str, h: int, w: int, steps: int, padding: str):

@@ -324,6 +324,15 @@ class TestTypedErrors:
         code, out, err = run_cli(capsys, "paramcount", *flags)
         assert_one_error(code, out, err)
 
+    def test_spc_config_integers_take_ascii_digits_alone(self, capsys):
+        # int() takes each steps value as 1 and isdecimal() "٤" as 4, so each would build
+        for config in ("steps=+1", "steps=\u0661", "steps=0_1", "directions=\u0664"):
+            code, out, err = run_cli(capsys, "paramcount", *MICRO_FLAGS, "--spc-config", config)
+            assert_one_error(code, out, err)
+        code, out, err = run_cli(capsys, "paramcount", *MICRO_FLAGS, "--spc-config", "steps=-1")
+        assert_one_error(code, out, err)
+        assert "steps must be >= 0" in err
+
     def test_bad_data_synth(self, capsys, tmp_path):
         ckpt = _micro_checkpoint(tmp_path / "m.ckpt")
         for synth in ("0,16,16,x,3,4", "0,16,16,16,3"):
@@ -388,6 +397,14 @@ class TestTypedErrors:
             (rb"\nembed.w 1x1x3x8 0\n", b"\nembed.w 1xbx3x8 0\n", "manifest"),
             (rb"\nembed.w 1x1x3x8 0\n", b"\nembed.w 1x1x3x8 99999999\n", "embed.w"),
             (rb"\nembed.w 1x1x3x8 0\n", b"\nembed.w 1x1x8x3 0\n", "embed.w"),
+            # the marker only ends the spec at the start of a line
+            (rb"=reduce_concat_fuse\n\[tensors\]\n", b"=reduce_concat_fuse [tensors]\n",
+             "[tensors]"),
+            # int() takes each of these spec values as 1 or 8, isdecimal() "٤" as 4
+            (rb"\nsteps=1\n", b"\nsteps=+1\n", "steps"),
+            (rb"\nsteps=1\n", "\nsteps=\u0661\n".encode(), "steps"),
+            (rb"\nbase_width=8\n", b"\nbase_width=0_8\n", "base_width"),
+            (rb"\ndirections=4\n", "\ndirections=\u0664\n".encode(), "direction"),
         ],
     )
     def test_bad_checkpoint_header(self, capsys, tmp_path, pattern, repl, needle):

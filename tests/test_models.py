@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import pathlib
 import sys
 import threading
 import tracemalloc
@@ -34,7 +35,7 @@ from caterpillar.layers import Linear, Module, Sequential, finite_diff_check, no
 from caterpillar.errors import ShapeError
 from caterpillar.layers import FFN, Conv2d, DWConv2d, ReLU, Residual
 from caterpillar.models import CaterpillarModel, ResNetModel
-from caterpillar.spc import DIRECTION_PRESETS, MIXING_WAYS, PADDING_MODES, SpcConfig, split_pairs
+from caterpillar.spc import DIRECTION_PRESETS, MIXING_WAYS, PADDING_MODES, SpcConfig
 from caterpillar.tensor import Rng
 
 
@@ -669,6 +670,8 @@ class TestSerialization:
             (b"\nembed.b 8 24\n", b"\nembed.b 8 +24\n", "manifest"),
             (b"\nembed.b 8 24\n", b"\nembed.b 8 2_4\n", "manifest"),
             (b"\nembed.b 8 24\n", b"\nembed.b +8 24\n", "manifest"),
+            # the marker only ends the spec at the start of a line
+            (b"=reduce_concat_fuse\n[tensors]\n", b"=reduce_concat_fuse [tensors]\n", "tensors"),
         ],
     )
     def test_checkpoint_rejects_malformed_header(self, tmp_path, old, new, needle):
@@ -679,6 +682,32 @@ class TestSerialization:
         path.write_bytes(raw.replace(old, new))
         with pytest.raises(FormatError, match=needle):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            # int() takes each of these as 10, 2, 2 or 16; isdecimal() takes "٤" as 4
+            ("steps=1", "steps=1_0"),
+            ("steps=1", "steps=+2"),
+            ("steps=1", "steps=\u0662"),
+            ("base_width=8", "base_width=1_6"),
+            ("directions=4", "directions=\u0664"),
+        ],
+    )
+    def test_spec_integers_take_ascii_digits_alone(self, old, new):
+        text = MICRO.serialize()
+        assert text.count(f"\n{old}\n") == 1
+        with pytest.raises(ConfigError):
+            parse_model_spec(text.replace(f"\n{old}\n", f"\n{new}\n"))
+        with pytest.raises(ConfigError, match="steps must be >= 0"):
+            parse_model_spec(text.replace("\nsteps=1\n", "\nsteps=-1\n"))
+
+    def test_readme_spec_example_parses(self):
+        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme[readme.index("## Model spec files"):]
+        start = section.index("```ini\n") + len("```ini\n")
+        text = section[start : section.index("```", start)]
+        assert parse_model_spec(text) == ModelSpec.preset("T", channel_schedule=(72, 144, 288, 576))
 
     def test_resnet_checkpoint_roundtrip(self, tmp_path):
         model = build_model(ResnetSpec(8, "spc", 4, (16, 16, 3)), seed=6).astype(np.float32)
@@ -854,16 +883,24 @@ _KEY_TEXTS = {
 _ALWAYS = ("family", "input", "num_classes", "base_width", "n_c")
 
 
+@pytest.mark.parametrize("family", sorted(SPEC_KEYS))
+def test_every_spec_field_has_a_key(family):
+    # a field is a key of its section or the next section of the table
+    table = SPEC_KEYS[family]
+    for cls, keys in table.values():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert sorted(fields - set(table)) == sorted(set(keys) - {"family"}), cls
+
+
 @st.composite
 def spec_texts(draw):
     """(text, stray): spec text over the table's keys, with a stray key or section."""
     family = draw(st.sampled_from(sorted(SPEC_KEYS)))
     table = SPEC_KEYS[family]
-    spc_keys = tuple(split_pairs(SpcConfig().serialize()))
     sections = {}
     for section, (_, keys) in table.items():
         pairs = {}
-        for key in keys if keys is not None else spc_keys:
+        for key in keys:
             if key in _ALWAYS or draw(st.booleans()):
                 pairs[key] = family if key == "family" else draw(st.sampled_from(_KEY_TEXTS[key]))
         sections[section] = pairs
@@ -871,7 +908,7 @@ def spec_texts(draw):
     if stray == "key":
         section = draw(st.sampled_from(sorted(sections)))
         names = [k for k in ("ffn_ration", "n_c", "variant", "combine", "steps")
-                 if k not in (table[section][1] or spc_keys)]
+                 if k not in table[section][1]]
         sections[section][draw(st.sampled_from(names))] = "1"
     elif stray == "section":
         sections[draw(st.sampled_from([s for s in ("mdoel", "block") if s not in table]))] = {}

@@ -5,7 +5,9 @@ offset and read directly (FormatError) and through the CLI (exit 2 with one
 ``error:`` line).  A CLI call costs milliseconds, so CIFAR-10 batches, at
 3073 bytes a record, go through the CLI at drawn offsets only.  A CIFAR-10
 batch has no header, so a cut exactly at a record boundary is a shorter,
-valid batch: it must load as the leading records.
+valid batch: it must load as the leading records.  A checkpoint is cut at
+every offset of its header and at drawn offsets of its float blob, and goes
+through the CLI at a few of those cuts.
 """
 
 import contextlib
@@ -30,6 +32,7 @@ from caterpillar.data import (
     save_raw_blob,
 )
 from caterpillar.errors import FormatError
+from caterpillar.models import ModelSpec, build_model, load_checkpoint, save_checkpoint
 from caterpillar.tensor import Rng
 
 SPEC_FLAGS = ["--base-width", "8", "--depths", "1,1,1,1", "--input", "32,32,3", "--classes", "10"]
@@ -53,12 +56,12 @@ def datasets(draw, hw=None, channels=None, max_n=2):
     return LabeledImages(images, labels, k)
 
 
-def cli_rejects(flag, value):
+def cli_rejects(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["train", *SPEC_FLAGS, flag, value])
+        code = main(list(argv))
     lines = err.getvalue().splitlines()
-    assert code == 2, (flag, value, err.getvalue())
+    assert code == 2, (argv, err.getvalue())
     assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
     assert out.getvalue() == ""
 
@@ -96,7 +99,7 @@ def test_cifar_truncation(data, cli_offsets):
             with pytest.raises(FormatError):
                 load_cifar10_binary(path)
             if offset in cli_offsets or offset in (0, 3072):
-                cli_rejects("--data-cifar", path)
+                cli_rejects("train", *SPEC_FLAGS, "--data-cifar", path)
 
 
 @PROPERTY
@@ -109,7 +112,7 @@ def test_idx_truncation(data):
             for _ in truncations(cut):
                 with pytest.raises(FormatError):
                     load_idx(images, labels)
-                cli_rejects("--data-idx", f"{images},{labels}")
+                cli_rejects("train", *SPEC_FLAGS, "--data-idx", f"{images},{labels}")
         npt.assert_array_equal(load_idx(images, labels).labels, data.labels)
 
 
@@ -122,5 +125,32 @@ def test_raw_blob_truncation(data):
         for _ in truncations(path):
             with pytest.raises(FormatError):
                 load_raw_blob(path)
-            cli_rejects("--data-raw", path)
+            cli_rejects("train", *SPEC_FLAGS, "--data-raw", path)
         npt.assert_array_equal(load_raw_blob(path).images, data.images.astype(np.float32))
+
+
+CKPT_SPEC = ModelSpec(base_width=4, depths=(1, 1, 1, 1), patch_size=1, input=(16, 16, 3),
+                      num_classes=3)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_checkpoint_truncation(data):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.ckpt")
+        save_checkpoint(path, build_model(CKPT_SPEC))
+        with open(path, "rb") as f:
+            raw = f.read()
+        blob_start = raw.index(b"\n", raw.index(b"\nDATA ") + 1) + 1
+        blob_cuts = data.draw(st.sets(st.integers(blob_start, len(raw) - 1), max_size=200))
+        cli_cuts = {0, blob_start - 1, blob_start} | set(
+            data.draw(st.lists(st.integers(0, len(raw) - 1), max_size=3))
+        )
+        for offset in truncations(path):
+            if offset >= blob_start and offset not in blob_cuts | cli_cuts:
+                continue
+            with pytest.raises(FormatError):
+                load_checkpoint(path)
+            if offset in cli_cuts:
+                cli_rejects("eval", "--checkpoint", path, "--data-synth", "0,2,16,16,3,3")
+        assert load_checkpoint(path).spec == CKPT_SPEC

@@ -18,6 +18,7 @@ from caterpillar.spc import (
     spc_param_count,
 )
 from caterpillar.layers import finite_diff_check
+from caterpillar.models import parse_spc_config, spc_config_text
 from caterpillar.tensor import Rng, max_rel_error
 
 
@@ -318,10 +319,10 @@ class TestConfig:
             SpcConfig.preset(9, steps=2, padding="reflect", mixing="sum"),
             SpcConfig(directions=("up", "center"), steps=0, mixing="concat_fuse"),
         ):
-            assert SpcConfig.parse(cfg.serialize()) == cfg
+            assert parse_spc_config(spc_config_text(cfg)) == cfg
 
     def test_parse_partial_override(self):
-        cfg = SpcConfig.parse("padding=reflect")
+        cfg = parse_spc_config("padding=reflect")
         assert cfg.padding == "reflect" and cfg.directions == DIRECTION_PRESETS[4]
 
     def test_invalid_configs(self):
@@ -336,7 +337,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SpcConfig(mixing="blend")
         with pytest.raises(ConfigError):
-            SpcConfig.parse("directions=7")
+            parse_spc_config("directions=7")
 
     def test_gradients_across_modes(self):
         # denser sweep lives in the acceptance suite
@@ -497,6 +498,6 @@ class TestConfigText:
     @given(st.lists(_spc_chunks, max_size=5), st.sampled_from([";", ",", " ; "]))
     def test_parse_succeeds_or_raises_typed(self, chunks, sep):
         try:
-            SpcConfig.parse(sep.join(chunks))
+            parse_spc_config(sep.join(chunks))
         except CaterpillarError:
             pass
