@@ -73,17 +73,17 @@ _DTYPES = {"f32": np.float32, "f64": np.float64}
 _MODEL_FLAGS = (
     ("--family", "family", dict(choices=SPEC_KEYS, help="default caterpillar")),
     ("--preset", "variant", dict(choices=VARIANT_PRESETS, help="pyramid preset")),
-    ("--base-width", "base_width", dict(type=int, help="custom pyramid stage-1 width")),
+    ("--base-width", "base_width", dict(help="custom pyramid stage-1 width")),
     ("--depths", "depths", dict(help="custom pyramid depths d1,d2,d3,d4")),
-    ("--n-c", "n_c", dict(type=int, help="resnet18 first-stage width")),
-    ("--patch-size", "patch_size", dict(type=int, help="pyramid patch size")),
+    ("--n-c", "n_c", dict(help="resnet18 first-stage width")),
+    ("--patch-size", "patch_size", dict(help="pyramid patch size")),
     ("--input", "input", dict(help="input as H,W,C")),
-    ("--classes", "num_classes", dict(type=int, help="classifier outputs")),
+    ("--classes", "num_classes", dict(help="classifier outputs")),
     ("--channel-schedule", "channel_schedule", dict(help="explicit stage widths c1,c2,c3,c4")),
     ("--local-mixer", "local_mixer",
      dict(help=f"caterpillar: {'|'.join(LOCAL_MIXERS)};  resnet18: {'|'.join(RESNET_MIXERS)}")),
     ("--combine", "combine", dict(choices=COMBINE_STRATEGIES, help="token-mixing strategy")),
-    ("--ffn-ratio", "ffn_ratio", dict(type=int, help="FFN expansion ratio")),
+    ("--ffn-ratio", "ffn_ratio", dict(help="FFN expansion ratio")),
 )
 
 # Train flags, each with the TrainConfig field that gives its type and default.
@@ -110,7 +110,7 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     for flag, _, options in _MODEL_FLAGS:
         p.add_argument(flag, **options)
     p.add_argument("--spc-config", help="e.g. 'directions=4;steps=1;padding=zero;mixing=...'")
-    p.add_argument("--resolution", type=int, help="square input resolution")
+    p.add_argument("--resolution", help="square input resolution")
 
 
 def _read_spec_file(path: str) -> dict[str, dict[str, str]]:
@@ -133,13 +133,14 @@ def _spec_from_args(args) -> "ModelSpec | ResnetSpec":
     for flag, key, _ in _MODEL_FLAGS:
         value = getattr(args, _dest(flag))
         if value is not None:
-            set_spec_key(sections, key, str(value), flag)
+            set_spec_key(sections, key, value, flag)
     if args.spc_config:
         sections.setdefault("spc", {}).update(split_pairs(args.spc_config))
-    if args.resolution is not None and args.input is None:
+    if args.resolution is not None:
         # keeps the channel count of the input the file and flags give
-        r, channels = args.resolution, decode_spec(sections).input[2]
-        set_spec_key(sections, "input", f"{r},{r},{channels}", "--resolution")
+        r, channels = parse_int(args.resolution, "--resolution"), decode_spec(sections).input[2]
+        if args.input is None:
+            set_spec_key(sections, "input", f"{r},{r},{channels}", "--resolution")
     return decode_spec(sections)
 
 

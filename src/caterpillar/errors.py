@@ -41,17 +41,13 @@ class StateError(CaterpillarError, RuntimeError):
     """A layer was asked for what its forward did not keep, e.g. a second backward."""
 
 
-def ascii_count(text: str) -> int:
-    """int(text) for ASCII digits alone; int() also takes signs, "_", spaces and digits like "٢"."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(text)
-    return int(text)
-
-
 def parse_int(text: str, what: str) -> int:
     """An integer in ASCII digits with an optional leading "-"; else ConfigError naming `what`."""
+    digits = text.removeprefix("-")
     try:
-        return -ascii_count(text[1:]) if text.startswith("-") else ascii_count(text)
+        if not (digits.isascii() and digits.isdigit()):  # int() also takes "+", "_", " ", "٢"
+            raise ValueError(text)
+        return int(text)  # ValueError past its digit limit
     except ValueError:
         raise ConfigError(f"{what}: expected an integer, got {text!r}") from None
 

@@ -15,8 +15,10 @@ layer.  Reported "G" figures are 1e9 MACs.
 
 File formats (both documented in the README):
   * model spec: key=value lines grouped in [model] / [block] / [spc] sections
-  * checkpoint: text header (spec + tensor manifest) followed by a flat
-    little-endian float32 blob; round-trips bit-exactly
+  * checkpoint: text header (spec + tensor manifest, from checkpoint_header)
+    followed by a flat little-endian float32 blob; a file loads only if its
+    header is byte for byte what the writer writes for the stored spec, so
+    it round-trips bit-exactly
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .blocks import BlockConfig, MixerBlock, block_param_count
 from .errors import BuildError, CaterpillarError, ConfigError, FormatError, ShapeError
-from .errors import ascii_count, parse_int, parse_ints
+from .errors import parse_int, parse_ints
 from .layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -572,100 +574,76 @@ def estimate_flops(model: Module, input_shape: tuple) -> tuple[int, list[tuple[s
 CHECKPOINT_MAGIC = "CATERPILLAR-CKPT-V1"
 
 
-def _named_tensors(model: Module) -> list[tuple[str, np.ndarray]]:
-    out = [(name, p.value) for name, p in model.named_parameters()]
-    out += [(name, getattr(owner, attr)) for name, owner, attr in model.named_buffers()]
-    return out
+def checkpoint_header(model: Module) -> tuple[bytes, list[np.ndarray]]:
+    """The header save_checkpoint writes for model, and model's arrays in blob order.
+
+    The magic line, the spec text, `[tensors]`, one `name shape offset` line per
+    tensor (parameters, then buffers; offsets in floats) and `DATA <count>`.
+    """
+    named = [(name, p.value) for name, p in model.named_parameters()]
+    named += [(name, getattr(owner, attr)) for name, owner, attr in model.named_buffers()]
+    lines = [CHECKPOINT_MAGIC, model.spec.serialize() + "[tensors]"]
+    offset = 0
+    for name, value in named:
+        shape = "x".join(str(d) for d in value.shape) if value.ndim else "scalar"
+        lines.append(f"{name} {shape} {offset}")
+        offset += value.size
+    lines.append(f"DATA {offset}")
+    return ("\n".join(lines) + "\n").encode("utf-8"), [value for _, value in named]
 
 
 def save_checkpoint(path: str, model: Module) -> None:
-    """Write spec text, tensor manifest, and a flat little-endian f32 blob."""
-    tensors = _named_tensors(model)
-    lines = [CHECKPOINT_MAGIC]
-    lines += model.spec.serialize().rstrip("\n").split("\n")
-    lines.append("[tensors]")
-    offset = 0
-    blobs = []
-    for name, value in tensors:
-        shape = "x".join(str(d) for d in value.shape) if value.ndim else "scalar"
-        lines.append(f"{name} {shape} {offset}")
-        flat = np.ascontiguousarray(value, dtype="<f4").reshape(-1)
-        blobs.append(flat)
-        offset += flat.size
-    lines.append(f"DATA {offset}")
-    header = ("\n".join(lines) + "\n").encode("utf-8")
+    """Write checkpoint_header(model), then its arrays as one flat little-endian f32 blob."""
+    header, arrays = checkpoint_header(model)
     with open(path, "wb") as f:
         f.write(header)
-        for blob in blobs:
-            f.write(blob.tobytes())
+        for value in arrays:
+            f.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
+
+
+def _header_mismatch(path: str, raw: bytes, header: bytes) -> FormatError:
+    """FormatError naming the first line of header that raw does not hold byte for byte."""
+    lines = header.splitlines(keepends=True)
+    i = start = 0
+    while raw.startswith(lines[i], start):
+        start, i = start + len(lines[i]), i + 1
+    got = raw[start : start + len(lines[i]) + 80].partition(b"\n")[0]
+    part = ("spec" if i <= lines.index(b"[tensors]\n")
+            else "DATA" if i == len(lines) - 1 else "manifest")
+    where = f"{part} line {i + 1} " + ("is cut short at" if start + len(got) == len(raw) else "is")
+    got, want = (b.decode("utf-8", "replace") for b in (got, lines[i].rstrip(b"\n")))
+    return FormatError(f"checkpoint {path}: {where} {got!r}, the writer writes {want!r}")
 
 
 def load_checkpoint(path: str) -> Module:
-    """Rebuild the model from the stored spec and restore every tensor, in float32."""
+    """Rebuild the model from the stored spec and restore every tensor, in float32.
+
+    The file must start with exactly the checkpoint_header of the model that the
+    spec before its `[tensors]` line describes, then hold its DATA count of floats.
+    """
     with open(path, "rb") as f:
         raw = f.read()
-    nl = raw.find(b"\n")
-    if nl < 0 or raw[:nl].decode("utf-8", "replace") != CHECKPOINT_MAGIC:
+    magic = f"{CHECKPOINT_MAGIC}\n".encode("utf-8")
+    if not raw.startswith(magic):
         raise FormatError(f"checkpoint {path}: bad magic line")
-    marker = raw.find(b"\nDATA ")
-    if marker < 0:
-        raise FormatError(f"checkpoint {path}: missing DATA marker")
-    data_line_end = raw.find(b"\n", marker + 1)
-    try:
-        header = raw[nl + 1 : marker].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        at = nl + 1 + exc.start
-        raise FormatError(f"checkpoint {path}: header byte {at} is not UTF-8") from None
-    count_s = raw[marker + 6 : data_line_end].decode("utf-8", "replace")
-    try:
-        count = ascii_count(count_s)
-    except ValueError:
-        raise FormatError(f"checkpoint {path}: bad DATA count {count_s!r}") from None
-    blob = raw[data_line_end + 1 :]
-    if len(blob) != 4 * count:
-        raise FormatError(
-            f"checkpoint {path}: data blob has {len(blob)} bytes, expected {4 * count}"
-        )
-    data = np.frombuffer(blob, dtype="<f4")
-    spec_text, tensors_line, manifest_text = f"\n{header}".partition("\n[tensors]\n")
-    if not tensors_line:
+    end = raw.find(b"\n[tensors]\n", len(magic) - 1)
+    if end < 0:
         raise FormatError(f"checkpoint {path}: no [tensors] line")
-    spec = parse_model_spec(spec_text)
-    model = build_model(spec, seed=0).astype(np.float32)
-    entries = {}
-    for line in manifest_text.strip().splitlines():
-        try:
-            name, shape_s, offset_s = line.rsplit(" ", 2)
-            shape = () if shape_s == "scalar" else tuple(map(ascii_count, shape_s.split("x")))
-            offset = ascii_count(offset_s)
-        except ValueError:
-            raise FormatError(f"checkpoint {path}: bad manifest line {line!r}") from None
-        if name in entries:
-            raise FormatError(f"checkpoint {path}: tensor {name} is listed twice")
-        if offset + int(np.prod(shape)) > count:
-            raise FormatError(f"checkpoint {path}: tensor {name} lies outside the data blob")
-        entries[name] = (shape, offset)
-    spans = sorted((off, off + int(np.prod(shape)), name) for name, (shape, off) in entries.items())
-    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
-        if start < end:
-            raise FormatError(
-                f"checkpoint {path}: tensors {first} and {second} overlap in the data blob"
-            )
-    params = dict(model.named_parameters())
-    if set(entries) != set(params) | {n for n, _, _ in model.named_buffers()}:
-        raise FormatError(f"checkpoint {path}: tensor names do not match the spec's model")
-
-    def restore(name, into):
-        """Write the stored tensor into the model's array, cast to its dtype."""
-        shape, offset = entries[name]
-        if shape != into.shape:
-            raise FormatError(
-                f"checkpoint {path}: {name} has shape {shape}, the spec's model {into.shape}"
-            )
-        into[...] = data[offset : offset + into.size].reshape(shape)
-
-    for name, p in params.items():
-        restore(name, p.value)
-    for name, owner, attr in model.named_buffers():
-        restore(name, getattr(owner, attr))
+    try:
+        spec_text = raw[len(magic) : end + 1].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = len(magic) + exc.start
+        raise FormatError(f"checkpoint {path}: header byte {at} is not UTF-8") from None
+    model = build_model(parse_model_spec(spec_text), seed=0).astype(np.float32)
+    header, arrays = checkpoint_header(model)
+    if not raw.startswith(header):
+        raise _header_mismatch(path, raw, header)
+    blob, count = len(raw) - len(header), sum(value.size for value in arrays)
+    if blob != 4 * count:
+        raise FormatError(f"checkpoint {path}: data blob has {blob} bytes, expected {4 * count}")
+    data = np.frombuffer(raw, dtype="<f4", offset=len(header))
+    offset = 0
+    for into in arrays:  # in place: no gradient or cast copy per tensor
+        into[...] = data[offset : offset + into.size].reshape(into.shape)
+        offset += into.size
     return model

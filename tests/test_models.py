@@ -652,6 +652,15 @@ class TestSerialization:
         x = rand((2, 16, 16, 3), 7).astype(np.float32)
         npt.assert_array_equal(model.forward(x), loaded.forward(x))
 
+    @pytest.mark.parametrize("combine", COMBINE_STRATEGIES)
+    def test_checkpoint_roundtrip_every_combine(self, tmp_path, combine):
+        # weighted_sum's scalar tensors are written with the shape "scalar";
+        # seed 2 differs from the seed load_checkpoint builds with
+        spec = dataclasses.replace(MICRO, block=BlockConfig(ffn_ratio=2, combine=combine))
+        save_checkpoint(str(tmp_path / "a.ckpt"), build_model(spec, seed=2))
+        save_checkpoint(str(tmp_path / "b.ckpt"), load_checkpoint(str(tmp_path / "a.ckpt")))
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
     def test_checkpoint_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"not a checkpoint\n")
@@ -662,9 +671,10 @@ class TestSerialization:
         "old, new, needle",
         [
             # "²" passes str.isdigit() but not int()
-            (b"\nDATA ", b"\nDATA \xc2\xb2", "DATA count"),
+            (b"\nDATA ", b"\nDATA \xc2\xb2", "DATA line"),
             # the first line's span overlaps embed.w; the second line alone would load
-            (b"\nembed.b 8 24\n", b"\nembed.b 8 0\nembed.b 8 24\n", "embed.b is listed twice"),
+            (b"\nembed.b 8 24\n", b"\nembed.b 8 0\nembed.b 8 24\n",
+             "'embed.b 8 0', the writer writes 'embed.b 8 24'"),
             # int() takes each of these manifest fields as 24 or 8
             (b"\nembed.b 8 24\n", "\nembed.b 8 \u0662\u0664\n".encode(), "manifest"),
             (b"\nembed.b 8 24\n", b"\nembed.b 8 +24\n", "manifest"),
@@ -672,6 +682,15 @@ class TestSerialization:
             (b"\nembed.b 8 24\n", b"\nembed.b +8 24\n", "manifest"),
             # the marker only ends the spec at the start of a line
             (b"=reduce_concat_fuse\n[tensors]\n", b"=reduce_concat_fuse [tensors]\n", "tensors"),
+            # each of these parses to the stored spec, which the writer writes otherwise
+            (b"\ndw_kernel=3\n", b"\n#dw_kernel=3\n", "spec line 14 is '#dw_kernel=3'"),
+            (b"\nsteps=1\n", b"\n", "spec line 17 is 'padding=zero'"),
+            (b"\n[block]\n", b"\n\n[block]\n", "spec line 10 is ''"),
+            (b"\nsteps=1\n", b"\nsteps = 1\n", "spec line 17 is 'steps = 1'"),
+            (b"\nembed.w 1x1x3x8 0\nembed.b 8 24\n", b"\nembed.b 8 24\nembed.w 1x1x3x8 0\n",
+             "manifest line 21 is 'embed.b 8 24'"),
+            # cut just before the DATA line's newline (None)
+            (b"\nDATA 62969\n", None, "DATA line 153 is cut short at 'DATA 62969'"),
         ],
     )
     def test_checkpoint_rejects_malformed_header(self, tmp_path, old, new, needle):
@@ -679,9 +698,13 @@ class TestSerialization:
         save_checkpoint(str(path), build_model(MICRO))
         raw = path.read_bytes()
         assert raw.count(old) == 1
-        path.write_bytes(raw.replace(old, new))
-        with pytest.raises(FormatError, match=needle):
+        if new is None:
+            path.write_bytes(raw[: raw.index(old) + len(old) - 1])
+        else:
+            path.write_bytes(raw.replace(old, new))
+        with pytest.raises(FormatError) as info:
             load_checkpoint(str(path))
+        assert needle in str(info.value).replace(str(path), "")
 
     @pytest.mark.parametrize(
         "old, new",
@@ -998,6 +1021,9 @@ class TestSpecProperties:
         path = tmp_path / "m.ckpt"
         path.write_bytes(raw[:pos] + bytes([byte]) + raw[pos + 1 :])
         try:
-            load_checkpoint(str(path))
+            model = load_checkpoint(str(path))
         except CaterpillarError:
-            pass
+            return
+        # a file that loads is what the writer writes for its spec
+        save_checkpoint(str(tmp_path / "again.ckpt"), model)
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()

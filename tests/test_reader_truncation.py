@@ -35,7 +35,9 @@ from caterpillar.errors import FormatError
 from caterpillar.models import ModelSpec, build_model, load_checkpoint, save_checkpoint
 from caterpillar.tensor import Rng
 
-SPEC_FLAGS = ["--base-width", "8", "--depths", "1,1,1,1", "--input", "32,32,3", "--classes", "10"]
+# A model that builds, so that only the reader can refuse a train run.
+SPEC_FLAGS = ["--base-width", "8", "--depths", "1,1,1,1", "--patch-size", "1",
+              "--input", "32,32,3", "--classes", "10"]
 # No shrink phase: each example reads a file at every offset, so shrinking a
 # failure would rerun those loops for minutes; the failing file is small anyway.
 PROPERTY = settings(
@@ -56,13 +58,14 @@ def datasets(draw, hw=None, channels=None, max_n=2):
     return LabeledImages(images, labels, k)
 
 
-def cli_rejects(*argv):
+def cli_rejects(cut, *argv):
+    """The command exits 2 with one `error:` line naming the cut file, as reader errors do."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     lines = err.getvalue().splitlines()
     assert code == 2, (argv, err.getvalue())
-    assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
+    assert len(lines) == 1 and lines[0].startswith("error:") and cut in lines[0], err.getvalue()
     assert out.getvalue() == ""
 
 
@@ -99,7 +102,7 @@ def test_cifar_truncation(data, cli_offsets):
             with pytest.raises(FormatError):
                 load_cifar10_binary(path)
             if offset in cli_offsets or offset in (0, 3072):
-                cli_rejects("train", *SPEC_FLAGS, "--data-cifar", path)
+                cli_rejects(path, "train", *SPEC_FLAGS, "--data-cifar", path)
 
 
 @PROPERTY
@@ -112,7 +115,7 @@ def test_idx_truncation(data):
             for _ in truncations(cut):
                 with pytest.raises(FormatError):
                     load_idx(images, labels)
-                cli_rejects("train", *SPEC_FLAGS, "--data-idx", f"{images},{labels}")
+                cli_rejects(cut, "train", *SPEC_FLAGS, "--data-idx", f"{images},{labels}")
         npt.assert_array_equal(load_idx(images, labels).labels, data.labels)
 
 
@@ -125,7 +128,7 @@ def test_raw_blob_truncation(data):
         for _ in truncations(path):
             with pytest.raises(FormatError):
                 load_raw_blob(path)
-            cli_rejects("train", *SPEC_FLAGS, "--data-raw", path)
+            cli_rejects(path, "train", *SPEC_FLAGS, "--data-raw", path)
         npt.assert_array_equal(load_raw_blob(path).images, data.images.astype(np.float32))
 
 
@@ -133,24 +136,40 @@ CKPT_SPEC = ModelSpec(base_width=4, depths=(1, 1, 1, 1), patch_size=1, input=(16
                       num_classes=3)
 
 
+def _saved_checkpoint(d):
+    """A CKPT_SPEC checkpoint in directory d: its path, its bytes and where its blob starts."""
+    path = os.path.join(d, "m.ckpt")
+    save_checkpoint(path, build_model(CKPT_SPEC))
+    with open(path, "rb") as f:
+        raw = f.read()
+    return path, raw, raw.index(b"\n", raw.index(b"\nDATA ") + 1) + 1
+
+
+def test_checkpoint_header_truncation():
+    # Every example of the next test writes this same header, so each of its
+    # cuts is read once, here; a rejected cut builds the stored spec's model.
+    with tempfile.TemporaryDirectory() as d:
+        path, _, blob_start = _saved_checkpoint(d)
+        for offset in truncations(path):
+            if offset < blob_start:
+                with pytest.raises(FormatError):
+                    load_checkpoint(path)
+
+
 @PROPERTY
 @given(data=st.data())
 def test_checkpoint_truncation(data):
     with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "m.ckpt")
-        save_checkpoint(path, build_model(CKPT_SPEC))
-        with open(path, "rb") as f:
-            raw = f.read()
-        blob_start = raw.index(b"\n", raw.index(b"\nDATA ") + 1) + 1
+        path, raw, blob_start = _saved_checkpoint(d)
         blob_cuts = data.draw(st.sets(st.integers(blob_start, len(raw) - 1), max_size=200))
         cli_cuts = {0, blob_start - 1, blob_start} | set(
             data.draw(st.lists(st.integers(0, len(raw) - 1), max_size=3))
         )
         for offset in truncations(path):
-            if offset >= blob_start and offset not in blob_cuts | cli_cuts:
+            if offset not in blob_cuts | cli_cuts:
                 continue
             with pytest.raises(FormatError):
                 load_checkpoint(path)
             if offset in cli_cuts:
-                cli_rejects("eval", "--checkpoint", path, "--data-synth", "0,2,16,16,3,3")
+                cli_rejects(path, "eval", "--checkpoint", path, "--data-synth", "0,2,16,16,3,3")
         assert load_checkpoint(path).spec == CKPT_SPEC
