@@ -2,16 +2,7 @@
 built from them, with verification and accounting harnesses."""
 
 from .blocks import COMBINE_STRATEGIES, LOCAL_MIXERS, BlockConfig, MixerBlock
-from .data import (
-    LabeledImages,
-    load_cifar10_binary,
-    load_idx,
-    load_raw_blob,
-    save_cifar10_binary,
-    save_idx,
-    save_raw_blob,
-    synth_blobs,
-)
+from .data import LabeledImages, load_cifar10_binary, load_idx, load_raw_blob, synth_blobs
 from .errors import CaterpillarError, StateError
 from .layers import (
     FFN,
@@ -43,16 +34,7 @@ from .models import (
     save_checkpoint,
 )
 from .smlp import Smlp, smlp_param_count
-from .spc import (
-    DIRECTION_PRESETS,
-    MIXING_WAYS,
-    PADDING_MODES,
-    Spc,
-    SpcConfig,
-    pillars_shift,
-    spc_oracle,
-    spc_param_count,
-)
+from .spc import DIRECTION_PRESETS, MIXING_WAYS, PADDING_MODES, Spc, SpcConfig, spc_param_count
 from .tensor import Rng, max_rel_error
 from .train import AdamW, TrainConfig, adamw_step, ce_label_smoothing, cosine_lr, evaluate, train_loop
 

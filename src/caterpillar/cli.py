@@ -124,6 +124,8 @@ def _read_spec_file(path: str) -> dict[str, dict[str, str]]:
 
 def _spec_from_args(args) -> "ModelSpec | ResnetSpec":
     """Decode the spec file (or the family's base) with every model flag applied."""
+    if args.resolution is not None and args.input is not None:
+        raise CaterpillarError("one input size at a time: got --input and --resolution")
     if args.spec_file:
         sections = _read_spec_file(args.spec_file)
     elif all(getattr(args, flag) is None for flag in ("family", "preset", "base_width", "depths")):
@@ -137,10 +139,9 @@ def _spec_from_args(args) -> "ModelSpec | ResnetSpec":
     if args.spc_config:
         sections.setdefault("spc", {}).update(split_pairs(args.spc_config))
     if args.resolution is not None:
-        # keeps the channel count of the input the file and flags give
+        # keeps the channel count of the spec file's or the family's input
         r, channels = parse_int(args.resolution, "--resolution"), decode_spec(sections).input[2]
-        if args.input is None:
-            set_spec_key(sections, "input", f"{r},{r},{channels}", "--resolution")
+        set_spec_key(sections, "input", f"{r},{r},{channels}", "--resolution")
     return decode_spec(sections)
 
 
@@ -198,6 +199,8 @@ def _check_compat(model, data: LabeledImages) -> None:
 
 def cmd_paramcount(args) -> int:
     spec = _spec_from_args(args)
+    if args.compare_local and not isinstance(spec, ModelSpec):
+        raise CaterpillarError("--compare-local applies to the pyramid family only")
     model = build_model(spec)
     total, rows = count_params(model)
     h, w, c = spec.input
@@ -220,8 +223,6 @@ def cmd_paramcount(args) -> int:
                 f"  dwconv 9d={dw}"
             )
     if args.compare_local:
-        if not isinstance(spec, ModelSpec):
-            raise CaterpillarError("--compare-local applies to the pyramid family only")
         other = dataclasses.replace(
             spec, block=dataclasses.replace(spec.block, local_mixer=args.compare_local)
         )

@@ -44,6 +44,14 @@ class LabeledImages:
         return LabeledImages((self.images - mean) / std, self.labels, self.class_count)
 
 
+def _read_as(path: str, images, labels, class_count: int) -> LabeledImages:
+    """LabeledImages whose dimension and label errors name the file they were read from."""
+    try:
+        return LabeledImages(images, labels, class_count)
+    except (FormatError, ShapeError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 _CIFAR_RECORD = 3073
 _CIFAR_CLASSES = 10
 
@@ -79,19 +87,6 @@ def load_cifar10_binary(paths: list[str] | str) -> LabeledImages:
         images.append(planes.transpose(0, 2, 3, 1).astype(np.float64) / 255.0)
         labels.append(lab)
     return LabeledImages(np.concatenate(images), np.concatenate(labels), _CIFAR_CLASSES)
-
-
-def save_cifar10_binary(path: str, data: LabeledImages) -> None:
-    """Inverse of load_cifar10_binary for [0,1] images quantized to bytes."""
-    if data.images.shape[1:] != (32, 32, 3):
-        raise FormatError(f"cifar writer: images must be (N,32,32,3), got {data.images.shape}")
-    pixels = np.round(data.images * 255.0).astype(np.uint8)
-    planes = pixels.transpose(0, 3, 1, 2).reshape(-1, 3072)
-    records = np.concatenate(
-        [data.labels.astype(np.uint8)[:, None], planes], axis=1
-    )
-    with open(path, "wb") as f:
-        f.write(records.tobytes())
 
 
 _IDX_IMAGE_MAGIC = 0x00000803
@@ -133,24 +128,11 @@ def load_idx(image_path: str, label_path: str) -> LabeledImages:
             f"{label_path}: label magic 0x{lmagic:08x} != 0x{_IDX_LABEL_MAGIC:08x}"
         )
     if ln != n:
-        raise FormatError(f"label count {ln} != image count {n}")
+        raise FormatError(f"{label_path}: label count {ln} != image count {n} in {image_path}")
     if len(lraw) != 8 + ln:
         raise FormatError(f"{label_path}: expected {8 + ln} bytes, got {len(lraw)}")
     labels = np.frombuffer(lraw, dtype=np.uint8, offset=8).astype(np.int64)
-    return LabeledImages(images, labels, int(labels.max()) + 1 if ln else 1)
-
-
-def save_idx(image_path: str, label_path: str, data: LabeledImages) -> None:
-    """Inverse of load_idx for single-channel [0,1] images."""
-    if data.images.shape[3] != 1:
-        raise FormatError(f"idx writer: images must have 1 channel, got {data.images.shape}")
-    n, h, w, _ = data.images.shape
-    with open(image_path, "wb") as f:
-        f.write(struct.pack(">IIII", _IDX_IMAGE_MAGIC, n, h, w))
-        f.write(np.round(data.images[..., 0] * 255.0).astype(np.uint8).tobytes())
-    with open(label_path, "wb") as f:
-        f.write(struct.pack(">II", _IDX_LABEL_MAGIC, n))
-        f.write(data.labels.astype(np.uint8).tobytes())
+    return _read_as(image_path, images, labels, int(labels.max()) + 1 if ln else 1)
 
 
 _RAW_MAGIC = b"RAW1"
@@ -173,17 +155,7 @@ def load_raw_blob(path: str) -> LabeledImages:
     off = 20 + 4 * n * h * w * c
     (k,) = struct.unpack("<I", raw[off : off + 4])
     labels = np.frombuffer(raw, dtype="<u4", count=n, offset=off + 4).astype(np.int64)
-    return LabeledImages(images, labels, int(k))
-
-
-def save_raw_blob(path: str, data: LabeledImages) -> None:
-    n, h, w, c = data.images.shape
-    with open(path, "wb") as f:
-        f.write(_RAW_MAGIC)
-        f.write(struct.pack("<IIII", n, h, w, c))
-        f.write(data.images.astype("<f4").tobytes())
-        f.write(struct.pack("<I", data.class_count))
-        f.write(data.labels.astype("<u4").tobytes())
+    return _read_as(path, images, labels, int(k))
 
 
 def synth_blobs(seed: int, n: int, h: int, w: int, cin: int, k: int) -> LabeledImages:

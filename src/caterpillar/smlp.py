@@ -78,35 +78,3 @@ class Smlp(Module):
 def smlp_param_count(h: int, w: int, c: int) -> int:
     """Closed-form count: H^2 + W^2 + 3C^2 weights, plus H + W + C biases."""
     return h * h + w * w + 3 * c * c + h + w + c
-
-
-def smlp_loop_oracle(x: np.ndarray, layer: Smlp) -> np.ndarray:
-    """Scalar triple-loop reference for Smlp.forward (test oracle)."""
-    x = np.asarray(x, dtype=np.float64)
-    n, h, w, c = x.shape
-    row_w, col_w = layer.row_w.value, layer.col_w.value
-    row_b, col_b = layer.row_b.value, layer.col_b.value
-    fuse_w, fuse_b = layer.fuse.w.value, layer.fuse.b.value
-    out = np.zeros((n, h, w, c))
-    for b in range(n):
-        for i in range(h):
-            for j in range(w):
-                cat = []
-                for ch in range(c):
-                    acc = row_b[j]
-                    for jj in range(w):
-                        acc += x[b, i, jj, ch] * row_w[jj, j]
-                    cat.append(acc)
-                for ch in range(c):
-                    acc = col_b[i]
-                    for ii in range(h):
-                        acc += x[b, ii, j, ch] * col_w[ii, i]
-                    cat.append(acc)
-                for ch in range(c):
-                    cat.append(x[b, i, j, ch])
-                for co in range(c):
-                    acc = fuse_b[co]
-                    for zi in range(3 * c):
-                        acc += cat[zi] * fuse_w[zi, co]
-                    out[b, i, j, co] = acc
-    return out

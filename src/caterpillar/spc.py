@@ -37,10 +37,6 @@ into one input-shaped buffer.  Without reductions that buffer is the input
 gradient.  With them it holds every reduction's unshifted output gradient
 in its channel slice, and one weight GEMM and one input GEMM over it serve
 all reductions together; the gap gradients go to the bias gradient.
-
-`pillars_shift` builds the neighboring maps from the same plan; it is the
-paper-level shift half.  `spc_oracle` is the independent reference that
-shares no code with either.
 """
 
 from __future__ import annotations
@@ -234,18 +230,6 @@ def _write_unshifted(dsrc: np.ndarray, dout: np.ndarray, plan, add: bool = False
         dsrc[:, rs, cs] += dout[:, ro, co]
 
 
-def pillars_shift(x: np.ndarray, cfg: SpcConfig) -> list[np.ndarray]:
-    """One full-size neighboring map per configured direction, in order."""
-    x = ensure_nhwc(x, "pillars_shift input")
-    _, h, w, _ = x.shape
-    maps = []
-    for d in cfg.directions:
-        m = np.empty_like(x)
-        _write_shifted(m, x, _shift_plan(d, h, w, cfg.steps, cfg.padding), 0.0)
-        maps.append(m)
-    return maps
-
-
 class Spc(Module):
     """The shift-and-concatenate local mixer as a differentiable layer.
 
@@ -365,82 +349,3 @@ def spc_param_count(cin: int, cout: int, cfg: SpcConfig) -> int:
     fuse_in = nd * cin if cfg.mixing == "concat_fuse" else cin
     fuse = (fuse_in + 1) * cout if cfg.fuses else 0
     return reduce + fuse
-
-
-def spc_oracle(x: np.ndarray, layer: Spc) -> np.ndarray:
-    """Brute-force reference for Spc.forward.
-
-    Gathers every neighbor by scalar index arithmetic, resolves out-of-range
-    indices per padding mode inline, and applies all weights with explicit
-    python loops.  Shares no code with the production path.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n, h, w, c = x.shape
-    cfg = layer.cfg
-    s = cfg.steps
-    nd = len(cfg.directions)
-    cout = layer.cout
-    mixing = cfg.mixing
-    mode = cfg.padding
-
-    def resolve(m: int, length: int) -> int | None:
-        if 0 <= m < length:
-            return m
-        if mode == "zero":
-            return None
-        if mode == "replicate":
-            return 0 if m < 0 else length - 1
-        if mode == "circular":
-            return m % length
-        return -m if m < 0 else 2 * (length - 1) - m
-
-    comps = [_COMPONENTS[d] for d in cfg.directions]
-    reduce_ws = [lin.w.value for lin in layer._reduce]
-    reduce_bs = [lin.b.value for lin in layer._reduce]
-    fuse_w = layer.fuse.w.value if layer.fuse is not None else None
-    fuse_b = layer.fuse.b.value if layer.fuse is not None else None
-
-    out = np.zeros((n, h, w, cout))
-    for b in range(n):
-        for i in range(h):
-            for j in range(w):
-                neighbors = []
-                for vc, hc in comps:
-                    si = resolve(i + vc * s, h) if vc else i
-                    sj = resolve(j + hc * s, w) if hc else j
-                    if si is None or sj is None:
-                        neighbors.append([0.0] * c)
-                    else:
-                        neighbors.append([float(x[b, si, sj, ch]) for ch in range(c)])
-                if mixing in ("reduce_concat_fuse", "reduce_concat"):
-                    width = c // nd
-                    stacked = []
-                    for d in range(nd):
-                        wd = reduce_ws[d]
-                        bd = reduce_bs[d]
-                        vec = neighbors[d]
-                        for cc in range(width):
-                            acc = 0.0
-                            for ci in range(c):
-                                acc += vec[ci] * float(wd[ci, cc])
-                            stacked.append(acc + float(bd[cc]))
-                elif mixing == "concat_fuse":
-                    stacked = []
-                    for d in range(nd):
-                        stacked.extend(neighbors[d])
-                else:
-                    stacked = [0.0] * c
-                    for d in range(nd):
-                        vec = neighbors[d]
-                        for ci in range(c):
-                            stacked[ci] += vec[ci]
-                if mixing in ("reduce_concat", "sum"):
-                    for cc in range(cout):
-                        out[b, i, j, cc] = stacked[cc]
-                else:
-                    for cc in range(cout):
-                        acc = 0.0
-                        for zi, zv in enumerate(stacked):
-                            acc += zv * float(fuse_w[zi, cc])
-                        out[b, i, j, cc] = acc + float(fuse_b[cc])
-    return out

@@ -15,13 +15,7 @@ import pytest
 from caterpillar.blocks import COMBINE_STRATEGIES, LOCAL_MIXERS, BlockConfig, MixerBlock
 from caterpillar.cli import main as cli_main
 from caterpillar.cli import run_gradcheck
-from caterpillar.data import (
-    load_cifar10_binary,
-    load_idx,
-    save_cifar10_binary,
-    save_idx,
-    synth_blobs,
-)
+from caterpillar.data import load_cifar10_binary, load_idx, synth_blobs
 from caterpillar.layers import Linear
 from caterpillar.models import (
     ModelSpec,
@@ -39,11 +33,11 @@ from caterpillar.spc import (
     PADDING_MODES,
     Spc,
     SpcConfig,
-    pillars_shift,
-    spc_oracle,
 )
 from caterpillar.tensor import Rng, max_rel_error
 from caterpillar.train import TrainConfig, evaluate, train_loop
+from oracles import pillars_shift, spc_oracle
+from writers import save_cifar10_binary, save_idx
 
 
 def report(n, name, detail=""):

@@ -571,6 +571,7 @@ class TestSpecChecks:
             (("paramcount", *MICRO_FLAGS, "--patch-size", "+1"), "patch_size"),
             (("paramcount", "--preset", "Mi", "--resolution", "1_6"), "--resolution"),
             (("paramcount", *MICRO_FLAGS, "--resolution", "1_6"), "--resolution"),
+            (("paramcount", *MICRO_FLAGS, "--resolution", "32"), "--input and --resolution"),
             (("paramcount", *MICRO_FLAGS, "--classes", " 4"), "num_classes"),
             (("paramcount", *MICRO_FLAGS, "--ffn-ratio", "+2"), "ffn_ratio"),
             (("paramcount", "--family", "resnet18", "--n-c", "0_8"), "n_c"),
@@ -656,6 +657,13 @@ class TestSpecChecks:
                                  "--data-synth", _SYNTH, "--data-cifar", str(ckpt))
         assert_one_error(code, out, err)
         assert "--data-synth" in err and "--data-cifar" in err
+
+    def test_compare_local_refused_before_output(self, capsys):
+        code, out, err = run_cli(capsys, "paramcount", "--family", "resnet18", "--resolution",
+                                 "32", "--classes", "10", "--compare-local", "dwconv")
+        assert_one_error(code, out, err)
+        assert out == ""
+        assert "--compare-local" in err
 
     def test_unknown_gradcheck_target(self, capsys):
         code, out, err = run_cli(capsys, "gradcheck", "--target", "nosuch")

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caterpillar.cli import main
-from caterpillar.data import save_idx, save_raw_blob, synth_blobs
+from caterpillar.data import synth_blobs
 from caterpillar.models import ModelSpec, build_model, save_checkpoint
+from writers import save_idx, save_raw_blob
 
 def fuzz(examples):
     return settings(max_examples=examples, derandomize=True, deadline=None, database=None)

@@ -1,19 +1,22 @@
+import io
+import struct
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from caterpillar.cli import main
 from caterpillar.data import (
     LabeledImages,
     load_cifar10_binary,
     load_idx,
     load_raw_blob,
-    save_cifar10_binary,
-    save_idx,
-    save_raw_blob,
     synth_blobs,
 )
 from caterpillar.errors import FormatError
 from caterpillar.tensor import Rng
+from writers import RAW_MAGIC, save_cifar10_binary, save_idx, save_raw_blob
 
 
 def handcrafted_cifar_record() -> bytes:
@@ -156,6 +159,65 @@ class TestRawBlob:
         with pytest.raises(FormatError, match="bytes"):
             load_raw_blob(str(tmp_path / "t2.raw"))
 
+
+# Well-framed files whose contents the dataset rejects.  Each builder returns
+# the dataset flag, its argument, and the paths the error must name, the one
+# it starts with first.
+
+
+def idx_count_mismatch(tmp_path):
+    img, lab = minimal_idx_pair(tmp_path, n=4, labels=(0, 1, 2))
+    return "--data-idx", f"{img},{lab}", [lab, img]
+
+
+def idx_zero_height(tmp_path):
+    img, lab = minimal_idx_pair(tmp_path, n=4, h=0, w=8, labels=(0, 1, 2, 3))
+    return "--data-idx", f"{img},{lab}", [img]
+
+
+def raw_label_at_class_count(tmp_path):
+    """Labels 0, 1, 0, 1 with the stored class count patched from 2 to 1."""
+    path = tmp_path / "labels.raw"
+    save_raw_blob(str(path), synth_blobs(0, 4, 2, 2, 1, 2))
+    raw = bytearray(path.read_bytes())
+    off = 20 + 4 * (4 * 2 * 2 * 1)  # past the magic, the dims and the f32 pixels
+    raw[off : off + 4] = struct.pack("<I", 1)
+    path.write_bytes(bytes(raw))
+    return "--data-raw", str(path), [str(path)]
+
+
+def raw_zero_height(tmp_path):
+    path = tmp_path / "no_rows.raw"
+    labels = struct.pack("<4I", 0, 1, 0, 1)
+    path.write_bytes(RAW_MAGIC + struct.pack("<IIII", 4, 0, 8, 3) + struct.pack("<I", 2) + labels)
+    return "--data-raw", str(path), [str(path)]
+
+
+BAD_DATASETS = [idx_count_mismatch, idx_zero_height, raw_label_at_class_count, raw_zero_height]
+READERS = {"--data-idx": lambda text: load_idx(*text.split(",")), "--data-raw": load_raw_blob}
+
+
+class TestErrorsNameTheFile:
+    @pytest.mark.parametrize("make", BAD_DATASETS)
+    def test_reader(self, tmp_path, make):
+        flag, text, paths = make(tmp_path)
+        with pytest.raises(FormatError) as info:
+            READERS[flag](text)
+        message = str(info.value)
+        assert message.startswith(paths[0] + ": ")
+        assert all(p in message for p in paths)
+
+    @pytest.mark.parametrize("make", BAD_DATASETS)
+    def test_cli(self, tmp_path, make):
+        flag, text, paths = make(tmp_path)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["train", "--base-width", "8", "--depths", "1,1,1,1", "--patch-size",
+                         "1", "--input", "16,16,3", "--classes", "4", "--steps", "1",
+                         flag, text])
+        assert code == 2
+        assert err.getvalue().startswith(f"error: {paths[0]}: ")
+        assert err.getvalue().count("\n") == 1
 
 class TestSynth:
     def test_deterministic(self):

@@ -1,6 +1,6 @@
 """Every binary reader rejects a truncated file at every byte offset.
 
-Small files come from the package's own writers; each is cut at every
+Small files come from the writers in tests/writers.py; each is cut at every
 offset and read directly (FormatError) and through the CLI (exit 2 with one
 ``error:`` line).  A CLI call costs milliseconds, so CIFAR-10 batches, at
 3073 bytes a record, go through the CLI at drawn offsets only.  A CIFAR-10
@@ -27,13 +27,11 @@ from caterpillar.data import (
     load_cifar10_binary,
     load_idx,
     load_raw_blob,
-    save_cifar10_binary,
-    save_idx,
-    save_raw_blob,
 )
 from caterpillar.errors import FormatError
 from caterpillar.models import ModelSpec, build_model, load_checkpoint, save_checkpoint
 from caterpillar.tensor import Rng
+from writers import save_cifar10_binary, save_idx, save_raw_blob
 
 # A model that builds, so that only the reader can refuse a train run.
 SPEC_FLAGS = ["--base-width", "8", "--depths", "1,1,1,1", "--patch-size", "1",

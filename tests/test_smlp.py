@@ -4,8 +4,9 @@ import pytest
 
 from caterpillar.errors import ShapeError
 from caterpillar.layers import finite_diff_check
-from caterpillar.smlp import Smlp, smlp_loop_oracle, smlp_param_count
+from caterpillar.smlp import Smlp, smlp_param_count
 from caterpillar.tensor import Rng, max_rel_error
+from oracles import smlp_loop_oracle
 
 
 def rand(shape, seed=0):

@@ -13,13 +13,12 @@ from caterpillar.spc import (
     Spc,
     SpcConfig,
     _shift_plan,
-    pillars_shift,
-    spc_oracle,
     spc_param_count,
 )
 from caterpillar.layers import finite_diff_check
 from caterpillar.models import parse_spc_config, spc_config_text
 from caterpillar.tensor import Rng, max_rel_error
+from oracles import pillars_shift, spc_oracle
 
 
 def rand(shape, seed=0):
