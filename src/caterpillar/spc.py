@@ -36,7 +36,15 @@ filled with that bias.  The backward is the mirror loop (`_write_unshifted`)
 into one input-shaped buffer.  Without reductions that buffer is the input
 gradient.  With them it holds every reduction's unshifted output gradient
 in its channel slice, and one weight GEMM and one input GEMM over it serve
-all reductions together; the gap gradients go to the bias gradient.
+all reductions together.  A reduction's bias reaches every pillar of its
+slice of the mixed buffer, gaps included, so its gradient is the sum of
+that slice of the mixed gradient: the fuse weight times the sum of dy.
+
+Both loops see their arrays channel-first, (c, n, h, w), and the plan's
+slices index the last two axes, whatever the memory order underneath (`Spc`
+says which order each mixing way uses).  In channel-major memory each
+channel is whole image rows, so a shift copies rows of w - s floats, or
+whole (h - s) * w planes for vertical moves.
 """
 
 from __future__ import annotations
@@ -196,38 +204,51 @@ def _shift_plan(direction: str, h: int, w: int, steps: int, padding: str):
 def _write_shifted(dst: np.ndarray, src: np.ndarray, plan, fill, add: bool = False) -> None:
     """dst = src moved per `plan`, with zero-mode gaps set to `fill`.
 
-    With `add` the moved pairs accumulate into dst and the gaps are left as
-    they are.
+    dst and src are channel-first, (c, n, h, w) or views in that axis order,
+    and the plan indexes their last two axes.  With `add` the moved pairs
+    accumulate into dst and the gaps are left as they are.
     """
     pairs, gaps = plan
     for (ro, co), (rs, cs) in pairs:
         if add:
-            dst[:, ro, co] += src[:, rs, cs]
+            dst[..., ro, co] += src[..., rs, cs]
         else:
-            dst[:, ro, co] = src[:, rs, cs]
+            dst[..., ro, co] = src[..., rs, cs]
     if not add:
         for ro, co in gaps:
-            dst[:, ro, co] = fill
+            dst[..., ro, co] = fill
 
 
 def _write_unshifted(dsrc: np.ndarray, dout: np.ndarray, plan, add: bool = False) -> None:
     """Adjoint of `_write_shifted`: dsrc[src] = sum of dout[out] over the pairs; gaps drop out.
 
-    The first pair is the main run.  Without `add` it is assigned, the source
-    strips it does not read are zeroed, and only the refill pairs accumulate,
-    so dsrc needs no zero fill.  With `add` every pair accumulates into dsrc.
+    Channel-first arrays as there.  The first pair is the main run.  Without
+    `add` it is assigned, the source strips it does not read are zeroed, and
+    only the refill pairs accumulate, so dsrc needs no zero fill.  With `add`
+    every pair accumulates into dsrc.
     """
     ((ro, co), (rs, cs)), *refills = plan[0]
     if add:
-        dsrc[:, rs, cs] += dout[:, ro, co]
+        dsrc[..., rs, cs] += dout[..., ro, co]
     else:
-        dsrc[:, rs, cs] = dout[:, ro, co]
-        dsrc[:, : rs.start] = 0
-        dsrc[:, rs.stop :] = 0
-        dsrc[:, rs, : cs.start] = 0
-        dsrc[:, rs, cs.stop :] = 0
+        dsrc[..., rs, cs] = dout[..., ro, co]
+        dsrc[..., : rs.start, :] = 0
+        dsrc[..., rs.stop :, :] = 0
+        dsrc[..., rs, : cs.start] = 0
+        dsrc[..., rs, cs.stop :] = 0
     for (ro, co), (rs, cs) in refills:
-        dsrc[:, rs, cs] += dout[:, ro, co]
+        dsrc[..., rs, cs] += dout[..., ro, co]
+
+
+def _empty_channel_first(shape: tuple, dtype, channel_major: bool) -> np.ndarray:
+    """An empty array of NHWC `shape`, seen channel-first as (c, n, h, w).
+
+    Its memory is channel-major, or NHWC under the transposed view.
+    """
+    n, h, w, c = shape
+    if channel_major:
+        return np.empty((c, n, h, w), dtype)
+    return np.empty(shape, dtype).transpose(3, 0, 1, 2)
 
 
 class Spc(Module):
@@ -251,6 +272,18 @@ class Spc(Module):
     mixed gradient unshifted into one input-shaped buffer: one slice per
     reduction side by side, or else all added into the whole buffer, which is
     then the input gradient.
+
+    reduce_concat_fuse keeps the mixed buffer, its gradient and the
+    reductions' gradient buffer channel-major, (C, n, h, w): its slices are
+    only cin/N channels wide, which in NHWC are short strided slivers, and
+    its weight gradients become plain GEMMs over contiguous rows.  The fuse
+    reads the buffer through its NHWC view, an F-contiguous (n*h*w, C)
+    matrix, and keeps that view; backward makes the fuse's GEMMs itself.
+    The other ways stay NHWC: concat_fuse and sum_fuse move whole cin-wide
+    input pillars, which NHWC already holds contiguously, and reduce_concat
+    and sum return the buffer as their output.  The reductions and the fuse
+    still run as child Linear forwards, so that a tracer which times and
+    counts MACs per leaf forward sees them.
     """
 
     def __init__(
@@ -283,6 +316,8 @@ class Spc(Module):
                 self._reduce.append(lin)
         self._mixed = width if cfg.sums_maps else nd * width
         self.fuse = Linear(self._mixed, cout, rng=rng) if cfg.fuses else None
+        # the memory order of the mixed buffer and the gradient buffers
+        self._channel_major = cfg.reduces_channels and cfg.fuses
         # direction k's channels in the mixed buffer
         self._chans = [
             slice(0, width) if cfg.sums_maps else slice(k * width, (k + 1) * width)
@@ -299,39 +334,56 @@ class Spc(Module):
             raise ShapeError(f"spc: input channels {x.shape[3]} != cin {self.cin}")
         self._x = x if keeping() else None
         n, h, w, _ = x.shape
-        z = np.empty((n, h, w, self._mixed), np.result_type(x, *(r.w.value for r in self._reduce)))
+        dtype = np.result_type(x, *(r.w.value for r in self._reduce))
+        z = _empty_channel_first((n, h, w, self._mixed), dtype, self._channel_major)
+        xt = x.transpose(3, 0, 1, 2)
         # backward makes the reductions' GEMMs itself, so they keep nothing
         with no_backward():
             for k, (plan, ch) in enumerate(zip(self._plans(h, w), self._chans)):
                 lin = self._reduce[k] if self._reduce else None
-                src = x if lin is None else lin(x, training)
-                fill = 0.0 if lin is None else lin.b.value
-                _write_shifted(z[..., ch], src, plan, fill, self.cfg.sums_maps and k > 0)
+                src = xt if lin is None else lin(x, training).transpose(3, 0, 1, 2)
+                fill = 0.0 if lin is None else lin.b.value[:, None, None, None]
+                _write_shifted(z[ch], src, plan, fill, self.cfg.sums_maps and k > 0)
+        z = z.transpose(1, 2, 3, 0)  # NHWC axes: C-contiguous, or channel-major memory
         return z if self.fuse is None else self.fuse(z, training)
 
     def backward(self, dy):
         x = self._take("_x")
-        _, h, w, c = x.shape
+        n, h, w, c = x.shape
         plans = self._plans(h, w)
-        dz = dy if self.fuse is None else self.fuse.backward(dy)
-        du = np.empty(x.shape, dtype=dz.dtype)
+        if self.fuse is None:
+            dz = dy.transpose(3, 0, 1, 2)
+        else:
+            # The fuse's backward, with dz made in z's memory order.  z is
+            # freed right after its weight GEMM, before dz is allocated.
+            fuse, flat_dy = self.fuse, dy.reshape(-1, self.cout)
+            fuse.w.grad += fuse._take("_x").reshape(-1, self._mixed).T @ flat_dy
+            dy_sum = _channel_sum(flat_dy, self.cout)
+            fuse.b.grad += dy_sum
+            if self._channel_major:
+                dz = fuse.w.value @ flat_dy.T
+            else:
+                dz = (flat_dy @ fuse.w.value.T).T
+            dz = dz.reshape(self._mixed, n, h, w)
+        # the input gradient without reductions, else theirs; z's memory order
+        du = _empty_channel_first(x.shape, dz.dtype, self._channel_major)
         shared = not self._reduce  # every direction's source is x itself
         for k, (plan, ch) in enumerate(zip(plans, self._chans)):
-            _write_unshifted(du if shared else du[..., ch], dz[..., ch], plan, shared and k > 0)
+            _write_unshifted(du if shared else du[ch], dz[ch], plan, shared and k > 0)
         if shared:
-            return du
+            return du.transpose(1, 2, 3, 0)
         # Each reduction commutes with its shift, so all of them back-propagate
-        # through du together: one weight GEMM and one input GEMM.
-        flat_du = du.reshape(-1, c)
-        dw = x.reshape(-1, c).T @ flat_du
-        db = _channel_sum(du, c)
-        for lin, ch, plan in zip(self._reduce, self._chans, plans):
-            lin.w.grad += dw[:, ch]
+        # through du together: one weight GEMM and one input GEMM.  A bias
+        # reaches every pillar of its slice of z, moved there or filled into
+        # a zero-mode gap, so its gradient is that slice's sum of dz.
+        flat_du = du.reshape(c, -1)
+        dw = flat_du @ x.reshape(-1, c)
+        db = _channel_sum(dy, c) if self.fuse is None else self.fuse.w.value @ dy_sum
+        for lin, ch in zip(self._reduce, self._chans):
+            lin.w.grad += dw[ch].T
             lin.b.grad += db[ch]
-            for ro, co in plan[1]:
-                lin.b.grad += dz[:, ro, co, ch].sum(axis=(0, 1, 2))
         w_all = np.concatenate([lin.w.value for lin in self._reduce], axis=1)
-        return (flat_du @ w_all.T).reshape(x.shape)
+        return (flat_du.T @ w_all.T).reshape(x.shape)
 
     def out_shape(self, in_shape):
         self._plans(in_shape[1], in_shape[2])  # raises what forward would on this extent

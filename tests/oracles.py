@@ -37,7 +37,8 @@ def pillars_shift(x: np.ndarray, cfg: SpcConfig) -> list[np.ndarray]:
     maps = []
     for d in cfg.directions:
         m = np.empty_like(x)
-        _write_shifted(m, x, _shift_plan(d, h, w, cfg.steps, cfg.padding), 0.0)
+        plan = _shift_plan(d, h, w, cfg.steps, cfg.padding)
+        _write_shifted(m.transpose(3, 0, 1, 2), x.transpose(3, 0, 1, 2), plan, 0.0)
         maps.append(m)
     return maps
 

@@ -31,7 +31,6 @@ MODEL = {
     "--base-width": ("8", "4", "1", "0", "-8"),
     "--depths": ("1,1,1,1", "1,1,1", "0,1,1,1", "1,-1,1,1", "1,1,x,1", ""),
     "--patch-size": ("1", "2", "0", "-1"),
-    "--input": ("16,16,3", "8,8,3", "16,16", "0,16,3", "16,16,3,1"),
     "--classes": ("4", "1", "0", "-1"),
     "--ffn-ratio": ("2", "1", "0", "-1"),
     "--local-mixer": ("spc", "dwconv", "identity", "conv3x3", "bogus"),
@@ -39,12 +38,16 @@ MODEL = {
     "--spc-config": ("steps=1", "steps=x", "steps=-1", "directions=8", "padding=bogus", "",
                      "directions=up+down+left"),
     "--channel-schedule": ("8,16,32,64", "8,16,32", "0,8,8,8"),
-    "--resolution": ("16", "8", "1", "0", "-1"),
     "--family": ("caterpillar", "resnet18", "bogus"),
     "--n-c": ("8", "4", "0", "-1"),
 }
-BASE_MODEL = ("--base-width", "8", "--depths", "1,1,1,1", "--patch-size", "1",
-              "--input", "16,16,3", "--classes", "4")
+# The input size is drawn as --input or as --resolution, never both: with both
+# a run stops at their conflict, and neither value reaches the build.
+INPUT_SIZE = {
+    "--input": ("16,16,3", "8,8,3", "16,16", "0,16,3", "16,16,3,1"),
+    "--resolution": ("16", "8", "1", "0", "-1"),
+}
+BASE_MODEL = ("--base-width", "8", "--depths", "1,1,1,1", "--patch-size", "1", "--classes", "4")
 # Inputs read by the command; outputs written by it; --out-dir targets.
 INPUTS = ("ckpt", "truncated", "empty", "dir", "missing", "under_file")
 OUTPUTS = ("fresh", "existing", "dir", "under_file", "missing_parent")
@@ -103,6 +106,10 @@ def _mostly(valid, strategy):
     return st.just(valid) | strategy
 
 
+_SIZE = _mostly({"--input": "16,16,3"}, st.sampled_from(
+    [{flag: v} for flag, values in INPUT_SIZE.items() for v in values]
+))
+
 _DATA = _mostly({"--data-synth": "0,16,16,16,3,4"}, st.sampled_from(
     [{"--data-synth": s} for s in SYNTH]
     + [{"--data-raw": k} for k in ("{raw}", "{raw_truncated}", "{empty}", "{dir}", "{missing}")]
@@ -129,9 +136,9 @@ def run(paths, argv):
 
 
 @fuzz(150)
-@given(model=_flags(MODEL), csv=st.none() | st.sampled_from(OUTPUTS))
-def test_paramcount(paths, model, csv):
-    run(paths, _argv(["paramcount"], BASE_MODEL, model, ["--csv", "{%s}" % csv] if csv else []))
+@given(size=_SIZE, model=_flags(MODEL), csv=st.none() | st.sampled_from(OUTPUTS))
+def test_paramcount(paths, size, model, csv):
+    run(paths, _argv(["paramcount"], BASE_MODEL, size, model, ["--csv", "{%s}" % csv] if csv else []))
 
 
 @fuzz(100)
@@ -169,6 +176,7 @@ def test_bench(paths, flags, out):
 
 @fuzz(250)
 @given(
+    size=_SIZE,
     model=_flags(MODEL),
     data=_DATA,
     train=_flags({
@@ -185,10 +193,10 @@ def test_bench(paths, flags, out):
     }),
     outputs=_flags({"--checkpoint": OUTPUTS, "--history": OUTPUTS}),
 )
-def test_train(paths, model, data, train, outputs):
+def test_train(paths, size, model, data, train, outputs):
     outputs = {k: "{%s}" % v for k, v in outputs.items()}
     base = ["--steps", "1", "--batch-size", "8"]
-    run(paths, _argv(["train"], BASE_MODEL, model, data, base, train, outputs))
+    run(paths, _argv(["train"], BASE_MODEL, size, model, data, base, train, outputs))
 
 
 @fuzz(150)

@@ -226,6 +226,19 @@ class TestSpcLayer:
         }[mixing]
         assert Spc(cin, cout, cfg=cfg, rng=Rng(0)).macs((2, 5, 3, cin)) == expected
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 3, 12, 8), (2, 4, 4, 8)])  # rows longer than cin/N; 4x4
+    @pytest.mark.parametrize("mixing", MIXING_WAYS)
+    def test_outputs_are_contiguous_nhwc(self, mixing, shape, dtype):
+        # A channel-major buffer let out as an NHWC view passes every value
+        # test, but makes each reshape downstream copy it.
+        cout = shape[3] if mixing in ("reduce_concat", "sum") else 12
+        layer = Spc(shape[3], cout, cfg=SpcConfig(mixing=mixing), rng=Rng(9)).astype(dtype)
+        y = layer.forward(rand(shape, 10).astype(dtype))
+        dx = layer.backward(np.ones_like(y))
+        for out, want in ((y, shape[:3] + (cout,)), (dx, shape)):
+            assert out.shape == want and out.dtype == dtype and out.flags.c_contiguous
+
     def test_interior_receptive_field(self):
         # interior pillar output depends only on its 4-neighborhood
         layer = Spc(4, cfg=SpcConfig(), rng=Rng(7))
