@@ -622,48 +622,50 @@ class FFN(Sequential):
         return self.fc1.backward(self.act.backward(dy))
 
 
-def _conv_geometry(h, w, k, stride, padding):
-    if padding == "same":
+def _window(what, h, w, k, stride):
+    """(pad, ho, wo) of a k x k window moved by `stride` over an h x w map.
+
+    Windows whose taps overlap (stride < k) slide: they need an odd k and
+    are padded by k // 2, "same" padding at stride 1.  Windows whose taps do
+    not overlap tile the map unpadded; rows and columns past the last whole
+    window are dropped.  Either way o = (i + 2 pad - k) // stride + 1
+    (Dumoulin & Visin 2016, arXiv:1603.07285).  ShapeError when k is even
+    where taps overlap, or when the window does not fit the padded map.
+    """
+    pad = 0
+    if stride < k:
         if k % 2 == 0:
-            raise ShapeError(f"conv: same padding needs odd kernel, got {k}")
+            raise ShapeError(
+                f"{what}: kernel must be odd where windows overlap, got {k} at stride {stride}"
+            )
         pad = k // 2
-    elif padding == "valid":
-        pad = 0
-    else:
-        raise ShapeError(f"conv: unknown padding {padding!r}")
-    if k > h + 2 * pad or k > w + 2 * pad:
-        raise ShapeError(
-            f"conv: kernel {k} larger than padded input {(h + 2 * pad, w + 2 * pad)}"
-        )
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (w + 2 * pad - k) // stride + 1
-    return pad, ho, wo
+    hp, wp = h + 2 * pad, w + 2 * pad
+    if k > hp or k > wp:
+        raise ShapeError(f"{what}: kernel {k} larger than padded input {(hp, wp)}")
+    return pad, (hp - k) // stride + 1, (wp - k) // stride + 1
 
 
-def _pad_hw(x, pad):
-    """x zero-padded by `pad` on both sides of H and W; x itself when pad is 0."""
-    return np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
+def _taps(k, stride, ho, wo):
+    """(di, dj, rows, cols) per tap, row-major: the padded rows and cols that tap reads."""
+    for di in range(k):
+        for dj in range(k):
+            yield di, dj, slice(di, di + stride * ho, stride), slice(dj, dj + stride * wo, stride)
+
+
+def _pad_hw(x, pad, value=0):
+    """x padded with `value` by `pad` on both sides of H and W; x itself when pad is 0."""
+    return np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)), constant_values=value) if pad else x
 
 
 class Conv2d(Module):
-    """Standard cross-correlation, kernel (k, k, cin, cout), zero padding.
+    """Standard cross-correlation, kernel (k, k, cin, cout); padding per _window.
 
     Forward keeps its unpadded input, often the array the layer before it
     keeps or returned, and backward pads it again (an exact copy).
     """
 
-    def __init__(
-        self,
-        k: int,
-        cin: int,
-        cout: int,
-        stride: int = 1,
-        padding: str = "same",
-        *,
-        rng: Rng,
-    ):
-        self.k, self.cin, self.cout = k, cin, cout
-        self.stride, self.padding = stride, padding
+    def __init__(self, k: int, cin: int, cout: int, stride: int = 1, *, rng: Rng):
+        self.k, self.cin, self.cout, self.stride = k, cin, cout, stride
         self.w = Parameter(trunc_normal_init(rng, (k, k, cin, cout)))
         self.b = Parameter(np.zeros(cout))
 
@@ -672,7 +674,7 @@ class Conv2d(Module):
         n, h, w, c = x.shape
         if c != self.cin:
             raise ShapeError(f"conv: input channels {c} != cin {self.cin}")
-        pad, ho, wo = _conv_geometry(h, w, self.k, self.stride, self.padding)
+        pad, ho, wo = _window("conv", h, w, self.k, self.stride)
         self._cache = (x, pad, ho, wo) if keeping() else None
         # One GEMM over all taps: with cin = 3 (the stems) a GEMM per tap has
         # an inner dimension of 3.
@@ -696,29 +698,23 @@ class Conv2d(Module):
         self.w.grad += (self._patches(xp, ho, wo).T @ flat_dy).reshape(self.w.grad.shape)
         self.b.grad += flat_dy.sum(axis=0)
         w2d = self.w.value.reshape(-1, self.cout)
+        # dpatch[di, dj] is tap (di, dj)'s share of dxp; both are NHWC-indexed
+        # views, in the memory order chosen here.  Overlapping taps scatter-add
+        # channel-first: each tap adds runs of Wo pillars rather than of cin
+        # channels, several times faster on the cin = 3 stems.  Taps that tile
+        # write each element once, in NHWC order.
         if s < k:
-            # Overlapping taps scatter-add into dxp.  Channel-first, each tap adds
-            # runs of Wo pillars rather than of cin channels: on the cin = 3
-            # stems that is several times faster.  Taps that do not overlap
-            # (stride >= k, the patch embeddings) write dxp once per tap below.
-            dpatch = (w2d @ flat_dy.T).reshape(k, k, cin, n, ho, wo)
-            dxp = np.zeros((cin, n) + xp.shape[1:3], xp.dtype)
-            for di in range(k):
-                for dj in range(k):
-                    dxp[:, :, di : di + s * ho : s, dj : dj + s * wo : s] += dpatch[di, dj]
-            dx = dxp[:, :, pad : pad + h, pad : pad + w].transpose(1, 2, 3, 0)
-            return np.ascontiguousarray(dx)
-        dpatch = (flat_dy @ w2d.T).reshape(-1, ho, wo, k, k, cin)
-        dxp = np.zeros_like(xp)
-        for di in range(k):
-            for dj in range(k):
-                dxp[:, di : di + s * ho : s, dj : dj + s * wo : s, :] += dpatch[:, :, :, di, dj]
-        if pad:
-            return dxp[:, pad:-pad, pad:-pad, :]
-        return dxp
+            dpatch = (w2d @ flat_dy.T).reshape(k, k, cin, n, ho, wo).transpose(0, 1, 3, 4, 5, 2)
+            dxp = np.zeros((cin,) + xp.shape[:3], xp.dtype).transpose(1, 2, 3, 0)
+        else:
+            dpatch = (flat_dy @ w2d.T).reshape(n, ho, wo, k, k, cin).transpose(3, 4, 0, 1, 2, 5)
+            dxp = np.zeros(xp.shape, xp.dtype)
+        for di, dj, rows, cols in _taps(k, s, ho, wo):
+            dxp[:, rows, cols] += dpatch[di, dj]
+        return np.ascontiguousarray(dxp[:, pad : pad + h, pad : pad + w])
 
     def out_shape(self, in_shape):
-        _, ho, wo = _conv_geometry(in_shape[1], in_shape[2], self.k, self.stride, self.padding)
+        _, ho, wo = _window("conv", in_shape[1], in_shape[2], self.k, self.stride)
         return (in_shape[0], ho, wo, self.cout)
 
     def macs(self, in_shape):
@@ -729,12 +725,11 @@ class Conv2d(Module):
 class DWConv2d(Module):
     """Depthwise convolution: kernel (k, k, c), channel c sees only slice c.
 
-    Stride 1, same padding.  Forward keeps its unpadded input; backward pads it again.
+    Stride 1, so an odd k (padding per _window).  Forward keeps its unpadded
+    input; backward pads it again.
     """
 
     def __init__(self, k: int, c: int, rng: Rng):
-        if k % 2 == 0:
-            raise ShapeError(f"dwconv: kernel must be odd, got {k}")
         self.k, self.c = k, c
         self.w = Parameter(trunc_normal_init(rng, (k, k, c)))
         self.b = Parameter(np.zeros(c))
@@ -744,33 +739,36 @@ class DWConv2d(Module):
         n, h, w, c = x.shape
         if c != self.c:
             raise ShapeError(f"dwconv: input channels {c} != {self.c}")
+        pad, _, _ = _window("dwconv", h, w, self.k, 1)
         self._x = x if keeping() else None
-        xp = _pad_hw(x, self.k // 2)
+        xp = _pad_hw(x, pad)
         out = np.zeros_like(x)
-        for di in range(self.k):
-            for dj in range(self.k):
-                out += xp[:, di : di + h, dj : dj + w, :] * self.w.value[di, dj]
+        for di, dj, rows, cols in _taps(self.k, 1, h, w):
+            out += xp[:, rows, cols, :] * self.w.value[di, dj]
         out += self.b.value
         return out
 
     def backward(self, dy):
-        pad, (_, h, w, _) = self.k // 2, dy.shape
+        _, h, w, _ = dy.shape
+        pad, _, _ = _window("dwconv", h, w, self.k, 1)
         xp = _pad_hw(self._take("_x"), pad)
         dxp = np.zeros_like(xp)
-        for di in range(self.k):
-            for dj in range(self.k):
-                patch = xp[:, di : di + h, dj : dj + w, :]
-                self.w.grad[di, dj] += (patch * dy).sum(axis=(0, 1, 2))
-                dxp[:, di : di + h, dj : dj + w, :] += dy * self.w.value[di, dj]
+        for di, dj, rows, cols in _taps(self.k, 1, h, w):
+            self.w.grad[di, dj] += (xp[:, rows, cols, :] * dy).sum(axis=(0, 1, 2))
+            dxp[:, rows, cols, :] += dy * self.w.value[di, dj]
         self.b.grad += dy.sum(axis=(0, 1, 2))
         return dxp[:, pad : pad + h, pad : pad + w, :]
+
+    def out_shape(self, in_shape):
+        _window("dwconv", in_shape[1], in_shape[2], self.k, 1)
+        return tuple(in_shape)
 
     def macs(self, in_shape):
         return int(np.prod(in_shape)) * self.k * self.k
 
 
 class AvgPool2d(Module):
-    """Non-overlapping k x k mean pooling (floor on odd extents)."""
+    """k x k mean pooling at stride k: tiles, a remainder under k is dropped."""
 
     def __init__(self, k: int = 2):
         self.k = k
@@ -780,10 +778,11 @@ class AvgPool2d(Module):
         _, ho, wo, _ = self.out_shape(x.shape)
         k = self.k
         self._cache = (x.shape, ho, wo)
-        out = x[:, : ho * k : k, : wo * k : k].copy()
-        for t in range(1, k * k):
-            i, j = divmod(t, k)
-            out += x[:, i : ho * k : k, j : wo * k : k]
+        taps = _taps(k, k, ho, wo)
+        _, _, rows, cols = next(taps)
+        out = x[:, rows, cols].copy()
+        for _, _, rows, cols in taps:
+            out += x[:, rows, cols]
         out /= k * k
         return out
 
@@ -801,57 +800,43 @@ class AvgPool2d(Module):
 
     def out_shape(self, in_shape):
         n, h, w, c = in_shape
-        if h < self.k or w < self.k:
-            raise ShapeError(f"avgpool: window {self.k} larger than input {(h, w)}")
-        return (n, h // self.k, w // self.k, c)
+        _, ho, wo = _window("avgpool", h, w, self.k, self.k)
+        return (n, ho, wo, c)
 
 
 class MaxPool2d(Module):
-    """k x k max pooling with stride and symmetric zero-region padding.
+    """k x k max pooling at a stride; padding per _window, with -inf.
 
     Forward keeps the window position of each maximum (the first on ties)
     in the smallest unsigned type that holds k*k - 1: one byte for k = 3.
     """
 
-    def __init__(self, k: int = 3, stride: int = 2, pad: int = 1):
-        self.k, self.stride, self.pad = k, stride, pad
+    def __init__(self, k: int = 3, stride: int = 2):
+        self.k, self.stride = k, stride
 
     def out_shape(self, in_shape):
         n, h, w, c = in_shape
-        ho = (h + 2 * self.pad - self.k) // self.stride + 1
-        wo = (w + 2 * self.pad - self.k) // self.stride + 1
+        _, ho, wo = _window("maxpool", h, w, self.k, self.stride)
         return (n, ho, wo, c)
 
     def forward(self, x, training=False):
         x = ensure_nhwc(x, "maxpool input")
-        n, h, w, c = x.shape
-        k, s, p = self.k, self.stride, self.pad
-        _, ho, wo, _ = self.out_shape(x.shape)
-        xp = np.full((n, h + 2 * p, w + 2 * p, c), -np.inf, dtype=x.dtype)
-        xp[:, p : p + h, p : p + w, :] = x
-        stack = np.stack(
-            [
-                xp[:, di : di + s * ho : s, dj : dj + s * wo : s, :]
-                for di in range(k)
-                for dj in range(k)
-            ]
-        )
-        index = np.min_scalar_type(k * k - 1)
+        pad, ho, wo = _window("maxpool", x.shape[1], x.shape[2], self.k, self.stride)
+        xp = _pad_hw(x, pad, -np.inf)
+        taps = _taps(self.k, self.stride, ho, wo)
+        stack = np.stack([xp[:, rows, cols, :] for _, _, rows, cols in taps])
+        index = np.min_scalar_type(self.k * self.k - 1)
         self._arg = stack.argmax(axis=0).astype(index) if keeping() else None
-        self._geom = (x.shape, ho, wo)
+        self._geom = (x.shape, pad, ho, wo)
         return stack.max(axis=0)
 
     def backward(self, dy):
         arg = self._take("_arg")
-        in_shape, ho, wo = self._geom
-        n, h, w, c = in_shape
-        k, s, p = self.k, self.stride, self.pad
-        dxp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=dy.dtype)
-        for idx in range(k * k):
-            di, dj = divmod(idx, k)
-            mask = arg == idx
-            dxp[:, di : di + s * ho : s, dj : dj + s * wo : s, :] += dy * mask
-        return dxp[:, p : p + h, p : p + w, :]
+        (n, h, w, c), pad, ho, wo = self._geom
+        dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=dy.dtype)
+        for idx, (_, _, rows, cols) in enumerate(_taps(self.k, self.stride, ho, wo)):
+            dxp[:, rows, cols, :] += dy * (arg == idx)
+        return dxp[:, pad : pad + h, pad : pad + w, :]
 
 
 class GlobalAvgPool(Module):

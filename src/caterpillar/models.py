@@ -74,7 +74,8 @@ class ModelSpec:
     """Pyramid-family architecture description.
 
     A preset variant fills base_width and depths when they are None; any
-    other variant (custom) must give both.
+    other variant (custom) must give depths, and base_width unless
+    channel_schedule gives the stage widths.
     """
 
     family: ClassVar[str] = "caterpillar"
@@ -96,7 +97,8 @@ class ModelSpec:
             object.__setattr__(self, "base_width", width)
         if self.depths is None:
             object.__setattr__(self, "depths", depths)
-        missing = [k for k in ("base_width", "depths") if getattr(self, k) is None]
+        needed = ("depths",) if self.channel_schedule is not None else ("base_width", "depths")
+        missing = [k for k in needed if getattr(self, k) is None]
         if missing:
             raise ConfigError(f"model spec: custom variant needs {' and '.join(missing)}")
         for name, n in (("depths", 4), ("input", 3), ("channel_schedule", 4),
@@ -408,14 +410,14 @@ class CaterpillarModel(_Chain):
             )
         rng = Rng(seed)
         p = spec.patch_size
-        embed = Conv2d(p, spec.input[2], plan[0]["c"], stride=p, padding="valid", rng=rng)
+        embed = Conv2d(p, spec.input[2], plan[0]["c"], stride=p, rng=rng)
         layers = [("embed", embed)]
         stage_ends = []
         prev_c = plan[0]["c"]
         for s, st in enumerate(plan, start=1):
             if st["down"]:
                 k = st["down"]
-                down = Conv2d(k, prev_c, st["c"], stride=k, padding="valid", rng=rng)
+                down = Conv2d(k, prev_c, st["c"], stride=k, rng=rng)
                 layers.append((f"stage{s}.downsample", down))
             for b in range(1, st["depth"] + 1):
                 name = f"stage{s}.block{b}"
@@ -446,8 +448,8 @@ class _BasicBlock(Sequential):
                 mix1 = Sequential([("spc", mix1), ("pool", AvgPool2d(2))])
             mix2 = Spc(cout, cout, cfg=spec.spc, rng=rng)
         else:
-            mix1 = Conv2d(3, cin, cout, stride=stride, padding="same", rng=rng)
-            mix2 = Conv2d(3, cout, cout, stride=1, padding="same", rng=rng)
+            mix1 = Conv2d(3, cin, cout, stride=stride, rng=rng)
+            mix2 = Conv2d(3, cout, cout, stride=1, rng=rng)
         path = [
             ("mix1", mix1),
             ("bn1", BatchNorm2d(cout)),
@@ -457,7 +459,7 @@ class _BasicBlock(Sequential):
         ]
         skip = []
         if stride != 1 or cin != cout:
-            short_conv = Conv2d(1, cin, cout, stride=stride, padding="valid", rng=rng)
+            short_conv = Conv2d(1, cin, cout, stride=stride, rng=rng)
             skip = [("short_conv", short_conv), ("short_bn", BatchNorm2d(cout))]
         super().__init__([("residual", Residual(path, skip, [("relu_out", ReLU())]))])
 
@@ -470,12 +472,12 @@ class ResNetModel(_Chain):
         nc = spec.n_c
         k, stride = (3, 1) if spec.small_stem else (7, 2)
         layers = [
-            ("stem_conv", Conv2d(k, spec.input[2], nc, stride=stride, padding="same", rng=rng)),
+            ("stem_conv", Conv2d(k, spec.input[2], nc, stride=stride, rng=rng)),
             ("stem_bn", BatchNorm2d(nc)),
             ("stem_relu", ReLU()),
         ]
         if not spec.small_stem:
-            layers.append(("stem_pool", MaxPool2d(3, 2, 1)))
+            layers.append(("stem_pool", MaxPool2d(3, 2)))
         stage_ends = []
         prev = nc
         for s, cout in enumerate((nc, 2 * nc, 4 * nc, 8 * nc), start=1):

@@ -12,10 +12,7 @@ from caterpillar.blocks import (
 from caterpillar.layers import DWConv2d, finite_diff_check
 from caterpillar.spc import Spc, SpcConfig
 from caterpillar.tensor import Rng, max_rel_error
-
-
-def rand(shape, seed=0):
-    return Rng(seed).normal(int(np.prod(shape))).reshape(shape)
+from helpers import rand
 
 
 def zero_params(module):

@@ -219,6 +219,28 @@ class TestTrainEvalCli:
         assert code == 0
         assert float(re.search(r"top1=([\d.]+)", out).group(1)) == final_eval
 
+    def test_channel_schedule_takes_no_base_width(self, capsys, tmp_path):
+        """A custom spec whose stage widths come from --channel-schedule needs no --base-width."""
+        flags = ("--depths", "1,1,1,1", "--channel-schedule", "8,16,32,64", "--input", "16,16,3",
+                 "--patch-size", "1", "--classes", "4")
+        code, out, err = run_cli(capsys, "paramcount", *flags)
+        assert code == 0, err
+        assert parse_total_params(out) == parse_total_params(
+            run_cli(capsys, "paramcount", *flags, "--base-width", "999")[1]
+        )
+        code, out, err = run_cli(capsys, "paramcount", *flags[:2], *flags[4:])  # no widths at all
+        assert_one_error(code, out, err)
+        assert "base_width" in err
+        ckpt = tmp_path / "m.ckpt"
+        code, _, err = run_cli(capsys, "train", *flags, "--steps", "1", "--batch-size", "16",
+                               "--data-synth", "0,16,16,16,3,4", "--checkpoint", str(ckpt))
+        assert code == 0, err
+        header = ckpt.read_bytes().split(b"[tensors]")[0]
+        assert b"channel_schedule=8,16,32,64\n" in header and b"base_width" not in header
+        code, _, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt), "--data-synth",
+                               "0,16,16,16,3,4")
+        assert code == 0, err
+
     def test_incompatible_shapes_exit_2(self, capsys, tmp_path, micro_flags):
         ckpt = tmp_path / "m.ckpt"
         run_cli(capsys, "train", *micro_flags, "--steps", "2", "--batch-size", "8",

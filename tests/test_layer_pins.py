@@ -28,10 +28,7 @@ from caterpillar.layers import (
 )
 from caterpillar.smlp import Smlp
 from caterpillar.tensor import Rng, max_rel_error
-
-
-def rand(shape, seed=0):
-    return Rng(seed).normal(int(np.prod(shape))).reshape(shape)
+from helpers import rand
 
 
 def close(a, b, tol=1e-12):
@@ -221,8 +218,11 @@ class TestLayerNormPin:
 
 
 def conv_windows(conv, x):
-    """(n, ho, wo, cin, k, k) windows of the zero-padded input."""
-    pad = conv.k // 2 if conv.padding == "same" else 0
+    """(n, ho, wo, cin, k, k) windows of the zero-padded input.
+
+    Overlapping windows (stride < k) are padded by k // 2, tiling ones not at all.
+    """
+    pad = conv.k // 2 if conv.stride < conv.k else 0
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (conv.k, conv.k), axis=(1, 2))
     _, ho, wo, _ = conv.out_shape(x.shape)
@@ -232,10 +232,9 @@ def conv_windows(conv, x):
 class TestConv2dPin:
     @pytest.mark.parametrize("k", [1, 3, 7])
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("padding", ["same", "valid"])
     @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
-    def test_matches_einsum(self, k, stride, padding, layout):
-        conv = Conv2d(k, 3, 4, stride=stride, padding=padding, rng=Rng(19))
+    def test_matches_einsum(self, k, stride, layout):
+        conv = Conv2d(k, 3, 4, stride=stride, rng=Rng(19))
         conv.b.value = rand((4,), seed=20)
         x = rand((2, 9, 8, 3), seed=21)
         if layout == "transposed":
@@ -264,7 +263,7 @@ class TestConv2dNonOverlappingPin:
     @pytest.mark.parametrize("k, stride", [(2, 2), (3, 3), (2, 3)])
     @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
     def test_matches_einsum(self, k, stride, layout):
-        conv = Conv2d(k, 5, 4, stride=stride, padding="valid", rng=Rng(35))
+        conv = Conv2d(k, 5, 4, stride=stride, rng=Rng(35))
         x = rand((2, 9, 8, 5), seed=36)
         if layout == "transposed":
             x = rand((2, 8, 9, 5), seed=36).transpose(0, 2, 1, 3)
@@ -329,7 +328,7 @@ class TestAvgPoolPin:
 class TestPoolBackwardPin:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_maxpool_matches_where(self, dtype):
-        pool = MaxPool2d(3, 2, 1)
+        pool = MaxPool2d(3, 2)
         x = rand((2, 7, 6, 3), seed=23).astype(dtype)
         out = pool.forward(x)
         dy = rand(out.shape, seed=24).astype(dtype)
@@ -356,7 +355,7 @@ class TestPoolBackwardPin:
         x[0, ::4, ::3] = -np.inf
         x[1, 2:9, 5:12, 0] = -np.inf  # whole windows of -inf
         x[1, ::5, 1::4, 1] = np.nan
-        pool = MaxPool2d(k, stride, pad)
+        pool = MaxPool2d(k, stride)
         out = pool.forward(x)
         dy = rand(out.shape, seed=30).astype(dtype)
         n, h, w, c = x.shape

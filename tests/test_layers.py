@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caterpillar.blocks import BlockConfig, MixerBlock
 from caterpillar.errors import InsufficientBatchError, ShapeError, StateError
@@ -28,11 +30,8 @@ from caterpillar.layers import (
 from caterpillar.smlp import Smlp
 from caterpillar.spc import Spc, SpcConfig
 from caterpillar.tensor import Rng, max_rel_error
+from helpers import rand
 from oracles import pillars_shift
-
-
-def rand(shape, seed=0):
-    return Rng(seed).normal(int(np.prod(shape))).reshape(shape)
 
 
 def series_erf(x: float, terms: int = 60) -> float:
@@ -291,11 +290,11 @@ class TestConv2d:
         x = rand((1, 4, 4, 2), seed=10)
         npt.assert_allclose(conv.forward(x), x, atol=1e-15)
 
-    @pytest.mark.parametrize("stride,pad_mode", [(1, "same"), (2, "same"), (2, "valid")])
-    def test_matches_loop_oracle(self, stride, pad_mode):
-        conv = Conv2d(3, 3, 5, stride=stride, padding=pad_mode, rng=Rng(5))
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_matches_loop_oracle(self, stride):
+        conv = Conv2d(3, 3, 5, stride=stride, rng=Rng(5))
         x = rand((2, 5, 5, 3), seed=11)
-        pad = 1 if pad_mode == "same" else 0
+        pad = 1 if stride < 3 else 0  # overlapping 3x3 windows are padded, tiling ones not
         expected = conv_loop_oracle(x, conv.w.value, conv.b.value, stride, pad)
         assert max_rel_error(conv.forward(x), expected) < 1e-12
 
@@ -311,7 +310,7 @@ class TestConv2d:
 
     def test_kernel_larger_than_padded_input(self):
         with pytest.raises(ShapeError, match="larger"):
-            Conv2d(5, 2, 2, padding="valid", rng=Rng(7)).forward(np.ones((1, 3, 3, 2)))
+            Conv2d(5, 2, 2, stride=5, rng=Rng(7)).forward(np.ones((1, 3, 3, 2)))
 
 
 class TestDWConv2d:
@@ -344,6 +343,48 @@ class TestDWConv2d:
         assert max_rel_error(dw.forward(x), expected) < 1e-12
 
 
+def _window_layer(name, k, stride):
+    """(layer, stride): a k x k window layer with unit weights, at the stride it takes or fixes."""
+    if name == "Conv2d":
+        layer = Conv2d(k, 1, 1, stride=stride, rng=Rng(0))
+    elif name == "DWConv2d":
+        layer, stride = DWConv2d(k, 1, rng=Rng(0)), 1
+    elif name == "AvgPool2d":
+        layer, stride = AvgPool2d(k), k
+    else:
+        layer = MaxPool2d(k, stride)
+    for p in layer.parameters():
+        if p.value.ndim > 1:
+            p.value[...] = 1.0
+    return layer, stride
+
+
+class TestWindowRule:
+    """Every k x k layer: overlapping windows (stride < k) need an odd k and are
+    padded by k // 2; tiling windows are not padded; a window must fit the padded map."""
+
+    @pytest.mark.parametrize("name", ["Conv2d", "DWConv2d", "AvgPool2d", "MaxPool2d"])
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(k=st.integers(1, 7), stride=st.integers(1, 7), h=st.integers(1, 10), w=st.integers(1, 10))
+    def test_out_shape_padding_and_fit(self, name, k, stride, h, w):
+        layer, stride = _window_layer(name, k, stride)
+        x = 1.0 + np.arange(h * w, dtype=np.float64).reshape(1, h, w, 1)  # distinct and positive
+        pad = k // 2 if stride < k else 0
+        if (stride < k and k % 2 == 0) or k > min(h, w) + 2 * pad:
+            with pytest.raises(ShapeError) as from_shape:
+                layer.out_shape(x.shape)
+            with pytest.raises(ShapeError) as from_forward:
+                layer.forward(x)
+            assert str(from_forward.value) == str(from_shape.value)
+            return
+        out = layer.forward(x)
+        assert out.shape == layer.out_shape(x.shape)
+        assert out.shape[1:3] == ((h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1)
+        # The top-left window spans rows and columns [-pad, k - pad): it sees the map's [0, k - pad).
+        reduce = {"AvgPool2d": np.mean, "MaxPool2d": np.max}.get(name, np.sum)
+        assert out[0, 0, 0, 0] == reduce(x[0, : k - pad, : k - pad, 0])
+
+
 class TestPools:
     def test_avg_pool(self):
         x = np.arange(16.0).reshape(1, 4, 4, 1)
@@ -352,7 +393,7 @@ class TestPools:
 
     def test_max_pool(self):
         x = np.arange(16.0).reshape(1, 4, 4, 1)
-        out = MaxPool2d(3, 2, 1).forward(x)
+        out = MaxPool2d(3, 2).forward(x)
         npt.assert_array_equal(out[0, :, :, 0], [[5.0, 7.0], [13.0, 15.0]])
 
     def test_gap_module(self):
@@ -389,7 +430,7 @@ class TestFiniteDiff:
             (lambda: DWConv2d(3, 8, rng=Rng(3)), 1e-8),
             (lambda: AvgPool2d(2), 1e-8),
             (lambda: GlobalAvgPool(), 1e-8),
-            (lambda: MaxPool2d(3, 2, 1), 1e-4),
+            (lambda: MaxPool2d(3, 2), 1e-4),
             (lambda: BatchNorm2d(8), 1e-4),
             (lambda: LayerNorm(8), 1e-4),
             (lambda: GELU(), 1e-4),
@@ -422,7 +463,7 @@ _KEEPING_LAYERS = {
     "LayerNorm": (lambda: LayerNorm(8), "LayerNorm"),
     "GELU": (GELU, "GELU"),
     "ReLU": (ReLU, "ReLU"),
-    "MaxPool2d": (lambda: MaxPool2d(3, 2, 1), "MaxPool2d"),
+    "MaxPool2d": (lambda: MaxPool2d(3, 2), "MaxPool2d"),
     "Spc": (lambda: Spc(8, 4, rng=Rng(4)), "Spc"),
     "Smlp": (lambda: Smlp(4, 4, 8, rng=Rng(5)), "Smlp"),
     "weighted_sum": (_weighted_sum_merge, "MixerBlock"),

@@ -37,6 +37,7 @@ from caterpillar.layers import FFN, Conv2d, DWConv2d, ReLU, Residual
 from caterpillar.models import CaterpillarModel, ResNetModel
 from caterpillar.spc import DIRECTION_PRESETS, MIXING_WAYS, PADDING_MODES, SpcConfig
 from caterpillar.tensor import Rng
+from helpers import rand
 
 
 MICRO = ModelSpec(
@@ -48,10 +49,6 @@ MICRO = ModelSpec(
     num_classes=5,
     block=BlockConfig(ffn_ratio=2),
 )
-
-
-def rand(shape, seed=0):
-    return Rng(seed).normal(int(np.prod(shape))).reshape(shape)
 
 
 class TestStagePlans:
@@ -632,6 +629,18 @@ class TestSerialization:
             ResnetSpec(32, "spc", 7, (32, 32, 3)),
         ):
             assert parse_model_spec(spec.serialize()) == spec
+
+    def test_schedule_spec_without_base_width_round_trips(self, tmp_path):
+        spec = dataclasses.replace(MICRO, base_width=None, channel_schedule=(8, 16, 32, 64))
+        text = spec.serialize()
+        assert "base_width" not in text
+        assert parse_model_spec(text) == spec
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(str(p1), build_model(spec, seed=2))
+        loaded = load_checkpoint(str(p1))
+        assert loaded.spec == spec
+        save_checkpoint(str(p2), loaded)
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_rebuild_identical_table(self):
         model = build_model(MICRO, seed=4)

@@ -6,11 +6,8 @@ from caterpillar.errors import ShapeError
 from caterpillar.layers import finite_diff_check
 from caterpillar.smlp import Smlp, smlp_param_count
 from caterpillar.tensor import Rng, max_rel_error
+from helpers import rand
 from oracles import smlp_loop_oracle
-
-
-def rand(shape, seed=0):
-    return Rng(seed).normal(int(np.prod(shape))).reshape(shape)
 
 
 def identity_configured(h, w, c, seed=0):

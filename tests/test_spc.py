@@ -18,11 +18,8 @@ from caterpillar.spc import (
 from caterpillar.layers import finite_diff_check
 from caterpillar.models import parse_spc_config, spc_config_text
 from caterpillar.tensor import Rng, max_rel_error
+from helpers import rand
 from oracles import pillars_shift, spc_oracle
-
-
-def rand(shape, seed=0):
-    return Rng(seed).normal(int(np.prod(shape))).reshape(shape)
 
 
 def random_biases(layer, seed):
