@@ -230,8 +230,10 @@ def conv_windows(conv, x):
 
 
 class TestConv2dPin:
+    """Stride 3 reaches an overlapping window past stride 2 (7x7/3, padded by 3) and a 1x1 window with gaps."""
+
     @pytest.mark.parametrize("k", [1, 3, 7])
-    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
     def test_matches_einsum(self, k, stride, layout):
         conv = Conv2d(k, 3, 4, stride=stride, rng=Rng(19))
@@ -258,7 +260,7 @@ class TestConv2dPin:
 
 
 class TestConv2dNonOverlappingPin:
-    """stride >= k with k > 1 (patch embedding and downsampling convs), which `TestConv2dPin` does not reach."""
+    """stride >= k with k > 1 (patch embedding and downsampling convs), which `TestConv2dPin` reaches only at 3x3/3."""
 
     @pytest.mark.parametrize("k, stride", [(2, 2), (3, 3), (2, 3)])
     @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
